@@ -1,22 +1,23 @@
 //! `pd-argmin` — the incremental t3/t4 opening-target index at large |M|.
 //!
-//! PR 3 made PD serve index-bound; the remaining `O(k·|M|)` per-arrival
-//! term was the t3/t4 opening-target scans over `(f − B)⁺ + d(m, r)`. This
-//! experiment measures what replacing those scans with the block-pruned
-//! argmin (`omfl_core::index::OpeningTargetIndex`, a bucketed lower-bound
-//! prune list) plus the blocked distance-row cache (`omfl_metric::blocked`)
-//! buys on the large-metric catalog families, against the retained PR 3
-//! full-scan path (`PdOmflp::with_full_scans`) — the two engines are
-//! bit-identical (the differential and lockstep suites prove it, and the
-//! shared harness cross-checks every timed pair), so the comparison is pure
-//! data-structure cost.
+//! With the facility index in place, the remaining `O(k·|M|)` per-arrival
+//! term of PD serve was the t3/t4 opening-target scans over
+//! `(f − B)⁺ + d(m, r)`. This
+//! experiment measures what the engine — the block-pruned argmin
+//! (`omfl_core::index::OpeningTargetIndex`, a bucketed lower-bound prune
+//! list), the blocked distance-row cache (`omfl_metric::blocked`) and the
+//! rest of the index layer — buys on the large-metric catalog families,
+//! against the linear-scan reference engine `omfl_core::naive::NaivePd`.
+//! The two engines are bit-identical (the differential and lockstep suites
+//! prove it, and the shared harness cross-checks every timed pair), so the
+//! comparison is pure data-structure cost.
 //!
-//! Reported per family: |M|, requests, full-scan and incremental ms/run,
-//! the speedup, the share of opening-target blocks the prune skipped, and
-//! the blocked row-cache hit rate (dense-backend cells show "-").
+//! Reported per family: |M|, requests, `NaivePd` and engine ms/run, the
+//! speedup, the share of opening-target blocks the prune skipped, and the
+//! blocked row-cache hit rate (dense-backend cells show "-").
 //!
 //! The measurement protocol is [`crate::perfjson::paired_pd_timing`] — the
-//! same harness that produces the gated `large` cell of `BENCH_pd.json`.
+//! same harness that produces the gated paired cells of `BENCH_pd.json`.
 
 use crate::perfjson::{paired_pd_timing, PairedPdTiming};
 use crate::table::{fmt, Table};
@@ -104,9 +105,9 @@ pub fn run(quick: bool) -> Vec<Table> {
     };
 
     let mut t = Table::new(
-        "PD opening targets: incremental argmin + blocked rows vs PR 3 full scans",
+        "PD opening targets: incremental argmin + blocked rows vs NaivePd",
         &[
-            "family", "|M|", "requests", "scan ms", "incr ms", "speedup", "blk skip", "row hit",
+            "family", "|M|", "requests", "naive ms", "incr ms", "speedup", "blk skip", "row hit",
         ],
     );
     for (family, c) in &cells {
@@ -114,9 +115,9 @@ pub fn run(quick: bool) -> Vec<Table> {
             family.to_string(),
             c.points.to_string(),
             c.requests.to_string(),
-            fmt(c.scan.mean * 1e3),
+            fmt(c.naive.mean * 1e3),
             fmt(c.incremental.mean * 1e3),
-            format!("{:.2}x", c.scan.mean / c.incremental.mean),
+            format!("{:.2}x", c.naive.mean / c.incremental.mean),
             format!("{:.1}%", 100.0 * c.block_skip_rate),
             c.row_hit_rate
                 .map_or_else(|| "-".to_string(), |r| format!("{:.1}%", 100.0 * r)),

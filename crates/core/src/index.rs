@@ -633,9 +633,9 @@ impl PastIndex {
 /// loses the full scan's first-minimum rule to the smaller id). Surviving
 /// blocks are scanned with the verbatim key arithmetic, so the returned
 /// `(value, location)` is bit-identical to the full ascending-id
-/// strict-`<` scan — `tests/tests/index_bounds.rs` locksteps this against
-/// a full-scan engine at every arrival, and a proptest drives *random*
-/// relabelings through whole engine runs.
+/// strict-`<` scan — `tests/tests/index_bounds.rs` checks this against
+/// full scans computed inside the test at every arrival, and a proptest
+/// drives *random* relabelings through whole engine runs.
 ///
 /// # Maintenance under the PD budget dynamics
 ///
@@ -832,15 +832,16 @@ impl SpatialLayout {
     /// makes radius bounds inert). So blocks are rebuilt as greedy balls —
     /// two ingest paths, selected by the metric:
     ///
-    /// * **kd ingest** (metrics offering [`omfl_metric::Metric::kd_coords`],
-    ///   `allow_kd` set): the next unassigned point of `seed_order` seeds a
+    /// * **kd ingest** (metrics offering [`omfl_metric::Metric::kd_coords`]):
+    ///   the next unassigned point of `seed_order` seeds a
     ///   block and takes its `block − 1` *true* nearest unassigned points
     ///   from [`KdTree::nearest_alive`], under the `(distance, seed-rank)`
     ///   total order. The partition is a pure function of the coordinates
     ///   and the seed order. Any deterministic partition is engine-safe
     ///   (the relabeling proptests drive arbitrary ones), so the kd fold
     ///   need not match the metric's distances here.
-    /// * **windowed ingest** (fallback): [`Self::group_into_balls`], which
+    /// * **windowed ingest** (fallback for metrics without coordinates —
+    ///   the graph and tree families): [`Self::group_into_balls`], which
     ///   can only pick members from the next [`BALL_WINDOW`] points of the
     ///   order — cheap, but a seed whose real neighbors sit beyond the
     ///   window gets a needlessly fat radius.
@@ -854,7 +855,7 @@ impl SpatialLayout {
     /// bound exceeds some candidate's upper bound can be neither the
     /// winner nor an earlier tie of the winner, so pruning it cannot
     /// change the first-wins outcome.
-    fn from_order(inst: &Instance, seed_order: Vec<u32>, allow_kd: bool) -> Self {
+    fn from_order(inst: &Instance, seed_order: Vec<u32>) -> Self {
         let points = inst.num_points();
         assert_eq!(
             seed_order.len(),
@@ -871,12 +872,10 @@ impl SpatialLayout {
         let metric = inst.metric();
         let mut kd = None;
         let mut kd_isometric = false;
-        if allow_kd {
-            if let Some(view) = metric.kd_coords() {
-                if view.dim > 0 && view.coords.len() == points * view.dim {
-                    kd_isometric = view.isometric;
-                    kd = Some(KdTree::build(view.coords, view.dim));
-                }
+        if let Some(view) = metric.kd_coords() {
+            if view.dim > 0 && view.coords.len() == points * view.dim {
+                kd_isometric = view.isometric;
+                kd = Some(KdTree::build(view.coords, view.dim));
             }
         }
         let block = if kd.is_some() && points >= HUGE_BLOCK_MIN_POINTS {
@@ -1172,22 +1171,6 @@ impl OpeningTargetIndex {
         }
     }
 
-    /// [`Self::for_instance`] pinned to the pre-kd layout generation:
-    /// windowed ball ingest, [`TARGET_BLOCK`]-sized blocks, no kd tree.
-    /// Kept callable so the paired benches can time the current serve path
-    /// against the frozen baseline on identical instances.
-    pub fn for_instance_legacy(inst: &Instance, f_small: &[f64], f_full: &[f64]) -> Self {
-        match inst.metric().coherent_order() {
-            Some(order) => Self::with_layout(
-                SpatialLayout::from_order(inst, order, false),
-                inst.num_commodities(),
-                f_small,
-                f_full,
-            ),
-            None => Self::new(inst.num_points(), inst.num_commodities(), f_small, f_full),
-        }
-    }
-
     /// Blocks laid over an explicit relabeling `order` (position → original
     /// id), with per-block medoid/radius summaries computed from the
     /// instance metric. Exposed beyond [`Self::for_instance`] so the test
@@ -1195,7 +1178,7 @@ impl OpeningTargetIndex {
     /// bit-identical under every one of them.
     pub fn with_order(inst: &Instance, f_small: &[f64], f_full: &[f64], order: Vec<u32>) -> Self {
         Self::with_layout(
-            SpatialLayout::from_order(inst, order, true),
+            SpatialLayout::from_order(inst, order),
             inst.num_commodities(),
             f_small,
             f_full,

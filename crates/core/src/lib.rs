@@ -78,6 +78,9 @@ pub enum CoreError {
     BadInstance(String),
     /// A solution failed verification; the string pinpoints the violation.
     Infeasible(String),
+    /// An engine configuration the engine cannot run (e.g. a relabeling
+    /// that is not a permutation of the points).
+    BadConfig(String),
 }
 
 impl fmt::Display for CoreError {
@@ -88,6 +91,7 @@ impl fmt::Display for CoreError {
             CoreError::BadRequest(s) => write!(f, "bad request: {s}"),
             CoreError::BadInstance(s) => write!(f, "bad instance: {s}"),
             CoreError::Infeasible(s) => write!(f, "infeasible solution: {s}"),
+            CoreError::BadConfig(s) => write!(f, "bad engine config: {s}"),
         }
     }
 }

@@ -59,21 +59,22 @@
 //! ([`omfl_metric::blocked::BlockedRowCache`]) beyond it, so large metrics
 //! keep cached-row locality instead of paying a metric call per distance.
 //!
-//! All structures reproduce the retired linear scans **bit for bit**: cache
+//! All structures reproduce the plain linear scans **bit for bit**: cache
 //! updates use the same `distance(query, location)` call and strict-`<`
 //! tie-breaking as the scans, shrink candidates are applied in the exact
 //! `(past index, slot)` order the history walk used, and pruned blocks are
 //! exactly those that provably cannot change the scan result — so every
 //! float in `B`, `B̂`, the caps and the outcomes is identical. The
-//! pre-index path survives as `naive::NaivePd` (feature `naive-ref`) and
-//! `tests/tests/differential.rs` asserts the equivalence across the whole
-//! scenario catalog; [`PdOmflp::with_full_scans`] additionally freezes the
-//! PR 3 full-scan serve path as the perf baseline the `pd-argmin` bench
-//! and the target-lockstep tests (`tests/tests/index_bounds.rs`) run
-//! against.
+//! pre-index path survives as `naive::NaivePd` (feature `naive-ref`), the
+//! one reference engine: `tests/tests/differential.rs` asserts the
+//! equivalence across the whole scenario catalog, the lockstep suites run
+//! [`PdConfig`]-forced engines against it, and the paired benches
+//! (`pd-argmin`, `BENCH_pd.json`) time this engine against it.
+//! `tests/tests/index_bounds.rs` checks the t3/t4 targets against full
+//! scans computed inside the test at every arrival.
 
 use crate::algorithm::{OnlineAlgorithm, ServeOutcome};
-use crate::index::{FacilityIndex, OpeningTargetIndex, PastIndex};
+use crate::index::{FacilityIndex, OpeningTargetIndex, PastIndex, SCAN_SHARD_BLOCKS};
 use crate::instance::Instance;
 use crate::request::Request;
 use crate::solution::{FacilityId, Solution};
@@ -129,41 +130,22 @@ pub struct PdOmflp<'a> {
     f_small: Vec<f64>,
     /// Cached `f^{S}_m`.
     f_full: Vec<f64>,
-    /// Distance substrate: dense matrix, blocked row LRU, or per-call —
-    /// every read is bit-identical to calling the metric (see
-    /// [`DistanceBackend`]).
+    /// Distance substrate: dense matrix or blocked row LRU — every read is
+    /// bit-identical to calling the metric (see [`DistanceBackend`]).
     dist: DistanceBackend,
-    /// Scratch: `d(m, r)` for the anchor in `dist_row_loc`.
-    dist_row: Vec<f64>,
-    /// The anchor `dist_row` currently holds (rows are pure functions of the
-    /// anchor, so a matching tag means the row is valid). `None` until the
-    /// first fill.
-    dist_row_loc: Option<PointId>,
-    /// Scratch for the frozen reference path's block-narrowed candidate
-    /// ids (see [`OpeningTargetIndex::budget_move_candidates`]); the
-    /// current path shards the freeze walk inside the index instead.
+    /// Scratch for the serial freeze walk's block-narrowed candidate ids
+    /// below the partial-row floor (see
+    /// [`OpeningTargetIndex::budget_move_candidates`]); above it the index
+    /// shards the freeze walk itself.
     moved_scratch: Vec<u32>,
     /// Scratch for the partial-row coverage ids (block reps, then the
     /// predicted scan cover; see [`OpeningTargetIndex::query_scan_cover`]).
     cover_scratch: Vec<u32>,
-    /// `true` pins this engine to the frozen PR 5 reference serve path
-    /// (full row fills, serial candidate-list freeze): the paired benches
-    /// time the current path against it, so it must not inherit the
-    /// partial-row or sharded-freeze machinery.
-    frozen_reference: bool,
-    /// Point-count floor for the partial-row serve path; defaults to
-    /// [`PARTIAL_ROW_MIN_POINTS`], overridable via
-    /// [`PdOmflp::set_partial_row_threshold`] so lockstep suites can
-    /// engage the path on CI-sized metrics.
+    /// Point-count floor for the partial-row serve path
+    /// ([`PdConfig::partial_row_min_points`]).
     partial_rows_min: usize,
-    /// Scratch row for the cap-shrink passes (rows of *past* locations),
-    /// used only by the per-call backend.
-    shrink_row: Vec<f64>,
-    /// Anchor tag for `shrink_row` (see `dist_row_loc`).
-    shrink_row_loc: Option<PointId>,
-    /// Incremental t3/t4 maintenance; `None` runs the PR 3 full scans
-    /// (the frozen perf baseline, see [`PdOmflp::with_full_scans`]).
-    targets: Option<OpeningTargetIndex>,
+    /// Incremental t3/t4 maintenance.
+    targets: OpeningTargetIndex,
     /// The t3 targets `(value, location)` of the last non-fast-path arrival.
     last_t3: Vec<(f64, PointId)>,
     /// The t4 target of the last non-fast-path arrival.
@@ -177,19 +159,16 @@ pub struct PdOmflp<'a> {
     dual_sum: f64,
 }
 
-/// Where `d(p, q)` reads come from. All three variants produce the verbatim
+/// Where `d(p, q)` reads come from. Both variants produce the verbatim
 /// `Instance::distance` results — they differ only in cost model:
 ///
 /// * `Dense` — the full `|M|²` matrix (row `q` at `q·|M|`, contiguous in
 ///   `p`), affordable up to [`DENSE_DISTANCE_CAP`] points;
 /// * `Blocked` — a fixed-budget LRU of metric rows
-///   ([`omfl_metric::blocked`]), the large-metric regime;
-/// * `PerCall` — no cache, one metric call per read: the pre-blocked-cache
-///   behavior beyond the dense cap, kept for the scan-mode perf baseline.
+///   ([`omfl_metric::blocked`]), the large-metric regime.
 enum DistanceBackend {
     Dense(Vec<f64>),
     Blocked(BlockedRowCache),
-    PerCall,
 }
 
 impl DistanceBackend {
@@ -203,55 +182,23 @@ impl DistanceBackend {
                 Some(row) => row[p.index()],
                 None => inst.distance(p, q),
             },
-            DistanceBackend::PerCall => inst.distance(p, q),
         }
     }
 }
 
 /// Borrows the distance row `d(·, q)` without copying: a slice into the
-/// dense matrix or the blocked cache, or — for the per-call backend — a
-/// fill of `scratch` (reused when `scratch_loc` already tags `q`; rows are
-/// pure functions of the anchor). Values are the verbatim metric results
-/// in every arm.
+/// dense matrix or the blocked cache. Values are the verbatim metric
+/// results in both arms.
 ///
 /// A free function rather than a method so callers can keep disjoint
 /// borrows of the other engine fields (bid rows, target index) alive while
 /// holding the row.
-fn backend_row<'r>(
-    dist: &'r mut DistanceBackend,
-    inst: &Instance,
-    q: PointId,
-    scratch: &'r mut [f64],
-    scratch_loc: &mut Option<PointId>,
-) -> &'r [f64] {
+fn backend_row<'r>(dist: &'r mut DistanceBackend, inst: &Instance, q: PointId) -> &'r [f64] {
     let m = inst.num_points();
     match dist {
         DistanceBackend::Dense(d) => &d[q.index() * m..(q.index() + 1) * m],
         DistanceBackend::Blocked(c) => c.row_with(q.0, |buf| inst.fill_row(q, buf)),
-        DistanceBackend::PerCall => {
-            if *scratch_loc != Some(q) {
-                for (p, slot) in scratch.iter_mut().enumerate() {
-                    *slot = inst.distance(PointId(p as u32), q);
-                }
-                *scratch_loc = Some(q);
-            }
-            scratch
-        }
     }
-}
-
-/// Which opening-target maintenance a `with_parts` engine gets.
-enum Targets {
-    /// PR 3 full scans (the frozen perf baseline).
-    FullScans,
-    /// Incremental index over the metric's coherent order (the default).
-    Coherent,
-    /// Incremental index over an explicit relabeling (test hook).
-    Order(Vec<u32>),
-    /// The PR 5 incremental layout generation: windowed ball ingest,
-    /// 16-point blocks, no kd tree, no `PastIndex` block pruning, no
-    /// worker pool. The frozen baseline for the `huge` paired bench.
-    Legacy,
 }
 
 /// Per-member outcome inside one arrival.
@@ -296,12 +243,12 @@ struct ServeScratch {
 /// [`PdOmflp::new`] switches to the blocked row cache
 /// ([`omfl_metric::blocked::BlockedRowCache`], budget
 /// [`omfl_metric::blocked::DEFAULT_ROW_CACHE_BYTES`]), which keeps row
-/// locality for metrics up to ~100k points; only the scan-mode baseline
-/// ([`PdOmflp::with_full_scans`]) still falls back to per-call lookups.
+/// locality for large metrics; at [`PARTIAL_ROW_MIN_POINTS`] and beyond,
+/// arrivals fill only the kd-bounded coverage of each row.
 pub const DENSE_DISTANCE_CAP: usize = 1024;
 
-/// Point-count threshold at which [`PdOmflp::new`] engages the sharded-scan
-/// worker pool (when [`omfl_par::default_threads`] reports more than one
+/// Point-count threshold at which the default [`PdConfig`] engages the
+/// sharded-scan worker pool (when [`omfl_par::default_threads`] reports more than one
 /// thread). Below it the per-arrival scans are far too short for fan-out to
 /// pay; above it each t3/t4 argmin spans thousands of blocks and the
 /// shard sweeps parallelize cleanly. The pool changes *nothing* observable
@@ -319,88 +266,97 @@ pub const PAR_SCAN_MIN_POINTS: usize = 65536;
 /// partial fills would trade a fast bulk primitive for slow pointwise
 /// calls. Above it the `O(|M|)` fill itself is the dominant serve cost
 /// and coverage-bounded fills win by an order of magnitude. Either path
-/// is bit-identical to the other (`tests/tests/partial_rows.rs` pins
-/// engines to both and locksteps them).
+/// is bit-identical to the other (`tests/tests/partial_rows.rs` forces the
+/// path on via [`PdConfig::partial_row_min_points`] and locksteps it
+/// against `NaivePd`).
 pub const PARTIAL_ROW_MIN_POINTS: usize = 65536;
 
-impl<'a> PdOmflp<'a> {
-    /// Creates the algorithm over an instance, with the incremental t3/t4
-    /// opening-target index and the blocked distance cache engaged.
-    /// Precomputes the per-location small and large facility costs
-    /// (`O(|M|·|S|)` memory — the same order as the bid matrix the analysis
-    /// requires) and, for metrics up to [`DENSE_DISTANCE_CAP`] points, the
-    /// dense distance cache.
-    pub fn new(inst: &'a Instance) -> Self {
-        let m = inst.num_points();
-        let dist = if m <= DENSE_DISTANCE_CAP {
-            DistanceBackend::Dense(Self::dense_matrix(inst))
-        } else {
-            DistanceBackend::Blocked(BlockedRowCache::with_default_budget(m))
-        };
-        Self::with_parts(inst, dist, Targets::Coherent)
-    }
+/// Execution settings of a [`PdOmflp`] engine, passed to
+/// [`PdOmflp::with_config`]. None of them changes an answer: outcomes,
+/// duals, caps and bids are bit-identical under every valid config. Shard
+/// size alone moves the skip/scan *statistics* (it decides which skips
+/// are attempted); thread count moves nothing observable.
+///
+/// [`Default`] is the configuration [`PdOmflp::new`] runs.
+#[derive(Debug, Clone)]
+pub struct PdConfig {
+    /// Relabeling (position → original id) the opening-target index lays
+    /// its blocks over; must be a permutation of the points. `None` uses
+    /// the metric's coherent order (the identity layout without one).
+    pub target_order: Option<Vec<u32>>,
+    /// Worker threads for the sharded scans and freeze walk; `Some(t)`
+    /// with `t ≤ 1` runs them on the caller alone. `None` engages a pool of
+    /// [`omfl_par::default_threads`] workers when `|M| ≥`
+    /// [`PAR_SCAN_MIN_POINTS`] and that is more than one thread.
+    pub scan_threads: Option<usize>,
+    /// Blocks per scan shard; must be positive.
+    pub shard_blocks: usize,
+    /// Point-count floor for the partial-row serve path (see
+    /// [`PARTIAL_ROW_MIN_POINTS`]).
+    pub partial_row_min_points: usize,
+}
 
-    /// [`PdOmflp::new`] with the opening-target index laid over an
-    /// **explicit** relabeling `order` instead of the metric's coherent
-    /// order. The relabeling is internal to the index, so every engine
-    /// outcome must be bit-identical to [`PdOmflp::new`] under *any*
-    /// permutation — the property the relabeling proptest in
-    /// `tests/tests/index_bounds.rs` drives through whole runs.
-    pub fn with_target_order(inst: &'a Instance, order: Vec<u32>) -> Self {
-        let m = inst.num_points();
-        let dist = if m <= DENSE_DISTANCE_CAP {
-            DistanceBackend::Dense(Self::dense_matrix(inst))
-        } else {
-            DistanceBackend::Blocked(BlockedRowCache::with_default_budget(m))
-        };
-        Self::with_parts(inst, dist, Targets::Order(order))
-    }
-
-    /// The PR 3 serve path: full t3/t4 scans every arrival and, beyond
-    /// [`DENSE_DISTANCE_CAP`], per-call distance lookups. Behaviorally
-    /// bit-identical to [`PdOmflp::new`] — it exists as the frozen
-    /// performance baseline the `pd-argmin` bench and the target-lockstep
-    /// tests compare against.
-    pub fn with_full_scans(inst: &'a Instance) -> Self {
-        let m = inst.num_points();
-        let dist = if m <= DENSE_DISTANCE_CAP {
-            DistanceBackend::Dense(Self::dense_matrix(inst))
-        } else {
-            DistanceBackend::PerCall
-        };
-        Self::with_parts(inst, dist, Targets::FullScans)
-    }
-
-    /// The PR 5 serve path, frozen: the incremental opening-target index
-    /// with windowed ball ingest and 16-point blocks, but no kd tree, no
-    /// `PastIndex` block pruning and no worker pool. Same distance backend
-    /// policy as [`PdOmflp::new`], so a paired bench against it isolates
-    /// exactly this PR's serve-path changes. Behaviorally bit-identical to
-    /// [`PdOmflp::new`] — the layout generation is engine-invisible.
-    pub fn with_reference_layout(inst: &'a Instance) -> Self {
-        let m = inst.num_points();
-        let dist = if m <= DENSE_DISTANCE_CAP {
-            DistanceBackend::Dense(Self::dense_matrix(inst))
-        } else {
-            DistanceBackend::Blocked(BlockedRowCache::with_default_budget(m))
-        };
-        Self::with_parts(inst, dist, Targets::Legacy)
-    }
-
-    /// Test/bench hook: forces the sharded-scan worker pool (`threads ≤ 1`
-    /// removes it) and the blocks-per-shard granularity, regardless of
-    /// instance size. Answers are bit-identical under every configuration;
-    /// shard size also changes which skips are *attempted* (the stats),
-    /// the pool never changes anything observable. No-op in scan mode.
-    pub fn configure_parallel_scans(&mut self, threads: usize, shard_blocks: usize) {
-        if let Some(t) = &mut self.targets {
-            t.set_scan_pool(if threads > 1 {
-                Some(Arc::new(TaskPool::new(threads)))
-            } else {
-                None
-            });
-            t.set_scan_shard_blocks(shard_blocks);
+impl Default for PdConfig {
+    fn default() -> Self {
+        Self {
+            target_order: None,
+            scan_threads: None,
+            shard_blocks: SCAN_SHARD_BLOCKS,
+            partial_row_min_points: PARTIAL_ROW_MIN_POINTS,
         }
+    }
+}
+
+impl PdConfig {
+    /// Rejects the settings the engine cannot run: a `target_order` that is
+    /// not a permutation of `0..points`, or empty shards.
+    fn validate(&self, points: usize) -> Result<(), CoreError> {
+        if self.shard_blocks == 0 {
+            return Err(CoreError::BadConfig(
+                "shard_blocks must be at least 1".into(),
+            ));
+        }
+        if let Some(order) = &self.target_order {
+            if order.len() != points {
+                return Err(CoreError::BadConfig(format!(
+                    "target_order has {} entries for {points} points",
+                    order.len()
+                )));
+            }
+            let mut seen = vec![false; points];
+            for &p in order {
+                match seen.get_mut(p as usize) {
+                    Some(slot) if !*slot => *slot = true,
+                    _ => {
+                        return Err(CoreError::BadConfig(format!(
+                            "target_order is not a permutation: point {p} \
+                             is repeated or out of range"
+                        )))
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+impl<'a> PdOmflp<'a> {
+    /// Creates the algorithm over an instance with the default
+    /// [`PdConfig`]. Precomputes the per-location small and large facility
+    /// costs (`O(|M|·|S|)` memory — the same order as the bid matrix the
+    /// analysis requires), the opening-target index and, for metrics up to
+    /// [`DENSE_DISTANCE_CAP`] points, the dense distance cache (the
+    /// blocked row cache beyond it).
+    pub fn new(inst: &'a Instance) -> Self {
+        Self::build(inst, PdConfig::default())
+    }
+
+    /// [`PdOmflp::new`] under an explicit [`PdConfig`]. Every valid config
+    /// yields a bit-identical engine; an invalid one is a
+    /// [`CoreError::BadConfig`].
+    pub fn with_config(inst: &'a Instance, config: PdConfig) -> Result<Self, CoreError> {
+        config.validate(inst.num_points())?;
+        Ok(Self::build(inst, config))
     }
 
     fn dense_matrix(inst: &Instance) -> Vec<f64> {
@@ -416,9 +372,14 @@ impl<'a> PdOmflp<'a> {
         dmat
     }
 
-    fn with_parts(inst: &'a Instance, dist: DistanceBackend, mode: Targets) -> Self {
+    fn build(inst: &'a Instance, config: PdConfig) -> Self {
         let m = inst.num_points();
         let s = inst.num_commodities();
+        let dist = if m <= DENSE_DISTANCE_CAP {
+            DistanceBackend::Dense(Self::dense_matrix(inst))
+        } else {
+            DistanceBackend::Blocked(BlockedRowCache::with_default_budget(m))
+        };
         let mut f_small = vec![0.0; m * s];
         let mut f_full = vec![0.0; m];
         for p in 0..m {
@@ -427,32 +388,28 @@ impl<'a> PdOmflp<'a> {
             }
             f_full[p] = inst.large_cost(PointId(p as u32));
         }
-        let legacy = matches!(mode, Targets::Legacy);
-        let mut targets = match mode {
-            Targets::FullScans => None,
-            Targets::Coherent => Some(OpeningTargetIndex::for_instance(inst, &f_small, &f_full)),
-            Targets::Order(order) => Some(OpeningTargetIndex::with_order(
-                inst, &f_small, &f_full, order,
-            )),
-            Targets::Legacy => Some(OpeningTargetIndex::for_instance_legacy(
-                inst, &f_small, &f_full,
-            )),
+        let mut targets = match config.target_order {
+            None => OpeningTargetIndex::for_instance(inst, &f_small, &f_full),
+            Some(order) => OpeningTargetIndex::with_order(inst, &f_small, &f_full, order),
         };
+        // Share the target index's spatial layout with the shrink walk so
+        // it can skip whole blocks, and fan the per-arrival block scans out
+        // over a worker pool once they are long enough to amortize it.
+        // Both are engine-invisible: results and skip/scan statistics stay
+        // bit-identical.
         let mut past_index = PastIndex::new(m, s);
-        if let Some(t) = &mut targets {
-            if !legacy {
-                // Share the target index's spatial layout with the shrink
-                // walk so it can skip whole blocks, and fan the per-arrival
-                // block scans out over a worker pool once they are long
-                // enough to amortize it. Both are engine-invisible: results
-                // and skip/scan statistics stay bit-identical.
-                past_index.attach_layout(t.layout_handle());
-                let threads = omfl_par::default_threads();
-                if m >= PAR_SCAN_MIN_POINTS && threads > 1 {
-                    t.set_scan_pool(Some(Arc::new(TaskPool::new(threads))));
-                }
+        past_index.attach_layout(targets.layout_handle());
+        let threads = config.scan_threads.unwrap_or_else(|| {
+            if m >= PAR_SCAN_MIN_POINTS {
+                omfl_par::default_threads()
+            } else {
+                1
             }
+        });
+        if threads > 1 {
+            targets.set_scan_pool(Some(Arc::new(TaskPool::new(threads))));
         }
+        targets.set_scan_shard_blocks(config.shard_blocks);
         Self {
             inst,
             sol: Solution::new(),
@@ -464,14 +421,9 @@ impl<'a> PdOmflp<'a> {
             f_small,
             f_full,
             dist,
-            dist_row: vec![0.0; m],
-            dist_row_loc: None,
             moved_scratch: Vec::new(),
             cover_scratch: Vec::new(),
-            frozen_reference: legacy,
-            partial_rows_min: PARTIAL_ROW_MIN_POINTS,
-            shrink_row: vec![0.0; m],
-            shrink_row_loc: None,
+            partial_rows_min: config.partial_row_min_points,
             targets,
             last_t3: Vec::new(),
             last_t4: (f64::INFINITY, PointId(0)),
@@ -481,27 +433,13 @@ impl<'a> PdOmflp<'a> {
         }
     }
 
-    /// Folds a fresh opening into the facility index — through a borrowed
-    /// distance row in incremental mode, per-call in scan mode (the PR 3
-    /// cost profile). Values are identical either way.
+    /// Folds a fresh opening into the facility index through a borrowed
+    /// distance row.
     fn note_opening(&mut self, e: Option<CommodityId>, at: PointId, fid: FacilityId) {
-        if self.targets.is_some() {
-            let row = backend_row(
-                &mut self.dist,
-                self.inst,
-                at,
-                &mut self.shrink_row,
-                &mut self.shrink_row_loc,
-            );
-            match e {
-                Some(e) => self.index.note_small_opening_with_row(row, e, fid),
-                None => self.index.note_large_opening_with_row(row, fid),
-            }
-        } else {
-            match e {
-                Some(e) => self.index.note_small_opening(self.inst, e, at, fid),
-                None => self.index.note_large_opening(self.inst, at, fid),
-            }
+        let row = backend_row(&mut self.dist, self.inst, at);
+        match e {
+            Some(e) => self.index.note_small_opening_with_row(row, e, fid),
+            None => self.index.note_large_opening_with_row(row, fid),
         }
     }
 
@@ -555,8 +493,8 @@ impl<'a> PdOmflp<'a> {
     /// there — the race ends at delta 0 before any target is read).
     ///
     /// This is the lockstep hook for `tests/tests/index_bounds.rs`: the
-    /// incremental engine's recorded targets must equal a scan-mode
-    /// engine's fresh scans bit for bit at every arrival.
+    /// recorded targets must equal full scans over the pre-arrival bids
+    /// bit for bit at every arrival.
     pub fn last_opening_targets(&self) -> Option<(&[OpeningTarget], OpeningTarget)> {
         if self.last_targets_valid {
             Some((&self.last_t3, self.last_t4))
@@ -566,19 +504,18 @@ impl<'a> PdOmflp<'a> {
     }
 
     /// `(blocks pruned, blocks scanned)` across the opening-target index's
-    /// queries; `None` in scan mode.
-    pub fn opening_target_stats(&self) -> Option<(u64, u64)> {
-        self.targets.as_ref().map(|t| t.stats())
+    /// queries.
+    pub fn opening_target_stats(&self) -> (u64, u64) {
+        self.targets.stats()
     }
 
-    /// `(blocks skipped, blocks scanned)` by the past-index shrink walks
-    /// (both 0 unless the block layout is attached, i.e. incremental mode).
+    /// `(blocks skipped, blocks scanned)` by the past-index shrink walks.
     pub fn past_index_stats(&self) -> (u64, u64) {
         self.past_index.stats()
     }
 
     /// `(hits, misses, evictions)` of the blocked distance-row cache;
-    /// `None` for the dense and per-call backends.
+    /// `None` for the dense backend.
     pub fn distance_cache_stats(&self) -> Option<(u64, u64, u64)> {
         match &self.dist {
             DistanceBackend::Blocked(c) => Some(c.stats()),
@@ -588,7 +525,7 @@ impl<'a> PdOmflp<'a> {
 
     /// Coverage-fallback promotions of the blocked row cache: partial rows
     /// a full-row consumer (an opening's shrink pass) forced up to a full
-    /// fill. `None` for the dense and per-call backends.
+    /// fill. `None` for the dense backend.
     pub fn row_fallback_promotions(&self) -> Option<u64> {
         match &self.dist {
             DistanceBackend::Blocked(c) => Some(c.fallback_promotions()),
@@ -597,26 +534,14 @@ impl<'a> PdOmflp<'a> {
     }
 
     /// Whether arrivals are served through kd-bounded partial row fills and
-    /// the sharded freeze walk: blocked backend + radius-bounded layout, at
-    /// least [`PARTIAL_ROW_MIN_POINTS`] points (below that a bulk full fill
-    /// is faster than pointwise coverage fills), and not the frozen PR 5
-    /// reference path.
+    /// the sharded freeze walk: blocked backend + radius-bounded layout and
+    /// at least [`PdConfig::partial_row_min_points`] points (below
+    /// [`PARTIAL_ROW_MIN_POINTS`] a bulk full fill is faster than pointwise
+    /// coverage fills).
     pub fn partial_rows_active(&self) -> bool {
-        !self.frozen_reference
-            && self.inst.num_points() >= self.partial_rows_min
+        self.inst.num_points() >= self.partial_rows_min
             && matches!(self.dist, DistanceBackend::Blocked(_))
-            && self
-                .targets
-                .as_ref()
-                .is_some_and(|t| t.partial_rows_supported())
-    }
-
-    /// Test/bench hook: overrides the [`PARTIAL_ROW_MIN_POINTS`] floor so
-    /// lockstep suites can engage (or suppress) the partial-row serve path
-    /// on CI-sized metrics. Either side of the threshold is bit-identical
-    /// — the floor is purely a performance crossover.
-    pub fn set_partial_row_threshold(&mut self, min_points: usize) {
-        self.partial_rows_min = min_points;
+            && self.targets.partial_rows_supported()
     }
 
     /// Nearest open facility offering commodity `e` (small-for-`e` or large)
@@ -647,13 +572,7 @@ impl<'a> PdOmflp<'a> {
             if dj < old {
                 let loc = pr.location;
                 shrank = true;
-                let drow = backend_row(
-                    &mut self.dist,
-                    self.inst,
-                    loc,
-                    &mut self.shrink_row,
-                    &mut self.shrink_row_loc,
-                );
+                let drow = backend_row(&mut self.dist, self.inst, loc);
                 let row = &mut self.b_small[e.index() * m..(e.index() + 1) * m];
                 for (b, &dpj) in row.iter_mut().zip(drow) {
                     // delta = (old − dpj)⁺ − (dj − dpj)⁺ vanishes exactly
@@ -669,13 +588,11 @@ impl<'a> PdOmflp<'a> {
         // `B[·][e]` shrank: the block bounds went stale low (still sound);
         // one rebuild per pass restores tight pruning.
         if shrank {
-            if let Some(t) = &mut self.targets {
-                t.rebuild_small(
-                    e,
-                    &self.f_small[e.index() * m..(e.index() + 1) * m],
-                    &self.b_small[e.index() * m..(e.index() + 1) * m],
-                );
-            }
+            self.targets.rebuild_small(
+                e,
+                &self.f_small[e.index() * m..(e.index() + 1) * m],
+                &self.b_small[e.index() * m..(e.index() + 1) * m],
+            );
         }
     }
 
@@ -696,13 +613,7 @@ impl<'a> PdOmflp<'a> {
             if !any_shrink {
                 continue;
             }
-            let drow = backend_row(
-                &mut self.dist,
-                self.inst,
-                loc,
-                &mut self.shrink_row,
-                &mut self.shrink_row_loc,
-            );
+            let drow = backend_row(&mut self.dist, self.inst, loc);
             // Large-facility cap.
             let old_total = self.past[pi].cap_total;
             if dj < old_total {
@@ -734,19 +645,17 @@ impl<'a> PdOmflp<'a> {
         }
         // Budgets shrank: stale-low block bounds stay sound, but one
         // rebuild per affected row restores tight pruning.
-        if let Some(t) = &mut self.targets {
-            if shrank_large {
-                t.rebuild_large(&self.f_full, &self.b_large);
-            }
-            shrank_small.sort_unstable();
-            shrank_small.dedup();
-            for e in shrank_small {
-                t.rebuild_small(
-                    e,
-                    &self.f_small[e.index() * m..(e.index() + 1) * m],
-                    &self.b_small[e.index() * m..(e.index() + 1) * m],
-                );
-            }
+        if shrank_large {
+            self.targets.rebuild_large(&self.f_full, &self.b_large);
+        }
+        shrank_small.sort_unstable();
+        shrank_small.dedup();
+        for e in shrank_small {
+            self.targets.rebuild_small(
+                e,
+                &self.f_small[e.index() * m..(e.index() + 1) * m],
+                &self.b_small[e.index() * m..(e.index() + 1) * m],
+            );
         }
     }
 
@@ -798,89 +707,60 @@ impl<'a> PdOmflp<'a> {
     /// On the partial-row serve path ([`Self::partial_rows_active`]) the
     /// walk is [`OpeningTargetIndex::freeze_reinvest`]: sharded over the
     /// worker pool, fed the backend's row when a full one is already
-    /// materialized and the metric's certified f32 screening brackets
-    /// otherwise — bit-identical updates either way, and a partial row
-    /// stays partial. Below the threshold (and on the frozen reference
-    /// path) the serial [`OpeningTargetIndex::budget_move_candidates`]
-    /// candidate-list walk over a full row stays faster; scan mode keeps
-    /// the full contiguous walk.
+    /// cached and the metric's certified f32 screening brackets otherwise
+    /// — bit-identical updates either way, and a partial row stays
+    /// partial. Below the floor the serial
+    /// [`OpeningTargetIndex::budget_move_candidates`] candidate-list walk
+    /// over a full row is faster.
     fn freeze_bids(&mut self, loc: PointId, members: &[CommodityId], caps: &[f64], cap_total: f64) {
         let m = self.inst.num_points();
         if self.partial_rows_active() {
-            if let Some(t) = &mut self.targets {
-                let full_row: Option<&[f64]> = match &self.dist {
-                    DistanceBackend::Dense(d) => Some(&d[loc.index() * m..(loc.index() + 1) * m]),
-                    DistanceBackend::Blocked(c) => c.cached_row(loc.0),
-                    DistanceBackend::PerCall => None,
-                };
-                t.freeze_reinvest(
-                    self.inst,
-                    loc,
-                    full_row,
-                    members,
-                    caps,
-                    cap_total,
-                    &mut self.b_small,
-                    &mut self.b_large,
-                    &self.f_small,
-                    &self.f_full,
-                );
-                return;
-            }
+            let DistanceBackend::Blocked(c) = &self.dist else {
+                unreachable!("partial_rows_active checked the backend")
+            };
+            self.targets.freeze_reinvest(
+                self.inst,
+                loc,
+                c.cached_row(loc.0),
+                members,
+                caps,
+                cap_total,
+                &mut self.b_small,
+                &mut self.b_large,
+                &self.f_small,
+                &self.f_full,
+            );
+            return;
         }
-        let dist_row = backend_row(
-            &mut self.dist,
-            self.inst,
-            loc,
-            &mut self.dist_row,
-            &mut self.dist_row_loc,
-        );
-        let (b_small, b_large, targets) = (&mut self.b_small, &mut self.b_large, &mut self.targets);
+        let dist_row = backend_row(&mut self.dist, self.inst, loc);
+        let (b_small, b_large, t) = (&mut self.b_small, &mut self.b_large, &mut self.targets);
         let (f_small, f_full) = (&self.f_small, &self.f_full);
         let moved = &mut self.moved_scratch;
         for (&e, &cap) in members.iter().zip(caps) {
             if cap > 0.0 {
                 let row = &mut b_small[e.index() * m..(e.index() + 1) * m];
-                match targets {
-                    Some(t) => {
-                        let f_row = &f_small[e.index() * m..(e.index() + 1) * m];
-                        t.budget_move_candidates(dist_row, cap, moved);
-                        for &p in moved.iter() {
-                            let p = p as usize;
-                            let d = dist_row[p];
-                            if d < cap {
-                                let b = &mut row[p];
-                                *b += cap - d;
-                                t.note_small_bump(e, PointId(p as u32), (f_row[p] - *b).max(0.0));
-                            }
-                        }
-                    }
-                    None => {
-                        for (b, &d) in row.iter_mut().zip(dist_row) {
-                            *b += (cap - d).max(0.0);
-                        }
+                let f_row = &f_small[e.index() * m..(e.index() + 1) * m];
+                t.budget_move_candidates(dist_row, cap, moved);
+                for &p in moved.iter() {
+                    let p = p as usize;
+                    let d = dist_row[p];
+                    if d < cap {
+                        let b = &mut row[p];
+                        *b += cap - d;
+                        t.note_small_bump(e, PointId(p as u32), (f_row[p] - *b).max(0.0));
                     }
                 }
             }
         }
         if cap_total > 0.0 {
-            match targets {
-                Some(t) => {
-                    t.budget_move_candidates(dist_row, cap_total, moved);
-                    for &p in moved.iter() {
-                        let p = p as usize;
-                        let d = dist_row[p];
-                        if d < cap_total {
-                            let b = &mut b_large[p];
-                            *b += cap_total - d;
-                            t.note_large_bump(PointId(p as u32), (f_full[p] - *b).max(0.0));
-                        }
-                    }
-                }
-                None => {
-                    for (b, &d) in b_large.iter_mut().zip(dist_row) {
-                        *b += (cap_total - d).max(0.0);
-                    }
+            t.budget_move_candidates(dist_row, cap_total, moved);
+            for &p in moved.iter() {
+                let p = p as usize;
+                let d = dist_row[p];
+                if d < cap_total {
+                    let b = &mut b_large[p];
+                    *b += cap_total - d;
+                    t.note_large_bump(PointId(p as u32), (f_full[p] - *b).max(0.0));
                 }
             }
         }
@@ -891,23 +771,6 @@ impl<'a> PdOmflp<'a> {
 #[inline]
 fn tight(value: f64, target: f64) -> bool {
     value >= target - EPS * (1.0 + target.abs())
-}
-
-/// The verbatim opening-target scan: `min_p (f[p] − b[p])⁺ + d[p]` with
-/// strict-`<` ascending-`p` tie-breaking — the reference the opening-target
-/// index must reproduce bit for bit, and the whole story in scan mode.
-#[inline]
-fn scan_target(f_row: &[f64], b_row: &[f64], dist_row: &[f64]) -> (f64, PointId) {
-    let mut best = f64::INFINITY;
-    let mut best_m = PointId(0);
-    for (p, ((&f, &b), &d)) in f_row.iter().zip(b_row).zip(dist_row).enumerate() {
-        let v = (f - b).max(0.0) + d;
-        if v < best {
-            best = v;
-            best_m = PointId(p as u32);
-        }
-    }
-    (best, best_m)
 }
 
 impl OnlineAlgorithm for PdOmflp<'_> {
@@ -956,13 +819,10 @@ impl OnlineAlgorithm for PdOmflp<'_> {
         }
 
         // Distance row d(m, r), borrowed zero-copy from the backend and
-        // reused everywhere this arrival. Scan mode drops the reuse tag
-        // first — the per-call refill is the PR 3 cost profile it exists
-        // to preserve.
-        if self.targets.is_none() {
-            self.dist_row_loc = None;
-        }
+        // reused everywhere this arrival.
         let inst = self.inst;
+        let partial = self.partial_rows_active();
+        let t = &mut self.targets;
         // Radius-bounded index over the blocked cache: fill only the
         // entries this arrival's scans can read. Seed the reps (the bound
         // pass reads exactly those), predict the scan cover from the
@@ -971,9 +831,9 @@ impl OnlineAlgorithm for PdOmflp<'_> {
         // stats and all downstream state are bit-identical to a full fill.
         // Any later full-row consumer (an opening's shrink pass) promotes
         // the partial row through the cache's coverage fallback.
-        let dist_row: &[f64] = if self.partial_rows_active() {
-            let (Some(t), DistanceBackend::Blocked(c)) = (&mut self.targets, &mut self.dist) else {
-                unreachable!("partial_rows_active checked the index and the backend")
+        let dist_row: &[f64] = if partial {
+            let DistanceBackend::Blocked(c) = &mut self.dist else {
+                unreachable!("partial_rows_active checked the backend")
             };
             let cover = &mut self.cover_scratch;
             t.seed_cover_ids(cover);
@@ -984,26 +844,17 @@ impl OnlineAlgorithm for PdOmflp<'_> {
             t.query_scan_cover(&scratch.members, cover);
             c.partial_row_with(loc.0, cover, |p| inst.distance(PointId(p), loc))
         } else {
-            let row = backend_row(
-                &mut self.dist,
-                inst,
-                loc,
-                &mut self.dist_row,
-                &mut self.dist_row_loc,
-            );
+            let row = backend_row(&mut self.dist, inst, loc);
             // One pass of per-block distance bounds for this arrival,
             // shared by every t3/t4 argmin below and the freeze walk.
-            if let Some(t) = &mut self.targets {
-                t.prepare_query_at(Some(loc), row);
-            }
+            t.prepare_query_at(Some(loc), row);
             row
         };
 
         // Per-commodity targets t1 (connect) / t3 (temp open) and joint
         // targets t2 (connect large) / t4 (open large). All constant during
         // the arrival (see module docs). t3/t4 come from the opening-target
-        // index's block-pruned scan when it is engaged; scan mode runs the
-        // full strict-`<` scans.
+        // index's block-pruned scans.
         scratch.t1.clear();
         scratch.t1.resize(k, f64::INFINITY);
         scratch.t1_fac.clear();
@@ -1019,17 +870,11 @@ impl OnlineAlgorithm for PdOmflp<'_> {
             }
             let f_row = &self.f_small[e.index() * mpts..(e.index() + 1) * mpts];
             let b_row = &self.b_small[e.index() * mpts..(e.index() + 1) * mpts];
-            let (best, best_m) = match &mut self.targets {
-                Some(t) => t.small_target(e, f_row, b_row, dist_row),
-                None => scan_target(f_row, b_row, dist_row),
-            };
+            let (best, best_m) = t.small_target(e, f_row, b_row, dist_row);
             scratch.t3[i] = best;
             scratch.t3_loc[i] = best_m;
         }
-        let (t4, t4_loc) = match &mut self.targets {
-            Some(t) => t.large_target(&self.f_full, &self.b_large, dist_row),
-            None => scan_target(&self.f_full, &self.b_large, dist_row),
-        };
+        let (t4, t4_loc) = t.large_target(&self.f_full, &self.b_large, dist_row);
         let (t2, t2_fac) = match self.index.nearest_large(loc) {
             Some((fid, d)) => (d, Some(fid)),
             None => (f64::INFINITY, None),
@@ -1353,6 +1198,47 @@ mod tests {
         let lb = alg.scaled_dual_lower_bound();
         assert!(lb > 0.0);
         assert!(lb <= alg.solution().total_cost() + 1e-9);
+    }
+
+    fn line_inst(points: usize) -> Instance {
+        Instance::new(
+            Box::new(LineMetric::uniform(points, 3.0).unwrap()),
+            4,
+            CostModel::power(4, 1.0, 1.0),
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn with_config_rejects_a_target_order_that_is_not_a_permutation() {
+        let inst = line_inst(4);
+        for order in [vec![0, 1, 2], vec![0, 1, 1, 3], vec![0, 1, 2, 4]] {
+            let config = PdConfig {
+                target_order: Some(order.clone()),
+                ..PdConfig::default()
+            };
+            let err = PdOmflp::with_config(&inst, config).err();
+            assert!(
+                matches!(err, Some(CoreError::BadConfig(_))),
+                "{order:?} must be rejected"
+            );
+        }
+        let config = PdConfig {
+            target_order: Some(vec![3, 1, 0, 2]),
+            ..PdConfig::default()
+        };
+        assert!(PdOmflp::with_config(&inst, config).is_ok());
+    }
+
+    #[test]
+    fn with_config_rejects_empty_shards() {
+        let inst = line_inst(4);
+        let config = PdConfig {
+            shard_blocks: 0,
+            ..PdConfig::default()
+        };
+        let err = PdOmflp::with_config(&inst, config).err();
+        assert!(matches!(err, Some(CoreError::BadConfig(_))));
     }
 
     #[test]

@@ -18,15 +18,21 @@
 //!   here against `omfl_core::bounds::sqrt_s` and `harmonic`.
 //!
 //! On top of the bound curves, this suite locksteps the relabeled,
-//! radius-bounded opening-target prune against fresh full scans bitwise at
-//! every arrival across the whole catalog (including the cold-query
-//! adversary and past the dense distance cap), and drives *random*
-//! relabelings through whole engine runs — the index's block layout must
-//! never leak into engine-visible state.
+//! radius-bounded opening-target prune against full scans computed here,
+//! from the engine's own pre-arrival bids, bitwise at every arrival across
+//! the whole catalog (including the cold-query adversary and past the
+//! dense distance cap) while `NaivePd` replays the outcomes, and drives
+//! *random* relabelings through whole engine runs — the index's block
+//! layout must never leak into engine-visible state.
 
+use omfl_commodity::CommodityId;
 use omfl_core::algorithm::OnlineAlgorithm;
-use omfl_core::pd::PdOmflp;
+use omfl_core::instance::Instance;
+use omfl_core::naive::NaivePd;
+use omfl_core::pd::{OpeningTarget, PdConfig, PdOmflp};
+use omfl_core::request::Request;
 use omfl_core::{bounds, harmonic};
+use omfl_metric::PointId;
 use omfl_workload::catalog::{by_name, registry, CatalogProfile};
 use proptest::prelude::*;
 
@@ -38,27 +44,67 @@ fn profile() -> CatalogProfile {
     }
 }
 
-/// Locksteps the incremental engine against a scan-mode engine over one
-/// scenario: identical outcomes and, at every non-fast-path arrival, the
-/// memo-repaired t3/t4 targets must equal the fresh-scan argmins **bit for
+/// The verbatim opening-target scan over bids `(b_small, b_large)` (the
+/// engine's commodity-major layout): per demanded commodity
+/// `min_p (f^e_p − B[p][e])⁺ + d(p, r)`, and `min_p (f^S_p − B̂[p])⁺ +
+/// d(p, r)`, each with strict-`<` ascending-`p` tie-breaking.
+fn full_scan_targets(
+    inst: &Instance,
+    (b_small, b_large): (&[f64], &[f64]),
+    r: &Request,
+) -> (Vec<OpeningTarget>, OpeningTarget) {
+    let m = inst.num_points();
+    let d: Vec<f64> = (0..m)
+        .map(|p| inst.distance(PointId(p as u32), r.location()))
+        .collect();
+    let scan = |key: &dyn Fn(usize) -> f64| {
+        let mut best = (f64::INFINITY, PointId(0));
+        for (p, &dp) in d.iter().enumerate() {
+            let v = key(p).max(0.0) + dp;
+            if v < best.0 {
+                best = (v, PointId(p as u32));
+            }
+        }
+        best
+    };
+    let t3 = r
+        .demand()
+        .iter()
+        .map(|e: CommodityId| {
+            scan(&|p| inst.small_cost(PointId(p as u32), e) - b_small[e.index() * m + p])
+        })
+        .collect();
+    let t4 = scan(&|p| inst.large_cost(PointId(p as u32)) - b_large[p]);
+    (t3, t4)
+}
+
+/// Locksteps the engine against `NaivePd` over one scenario: identical
+/// outcomes and, at every non-fast-path arrival, the engine's t3/t4
+/// targets must equal full scans over its pre-arrival bids **bit for
 /// bit** — value bits and winning location both.
 fn assert_targets_lockstep(sc: &omfl_workload::Scenario, label: &str) -> (u64, u64) {
     let inst = sc.instance();
     let mut inc = PdOmflp::new(inst);
-    let mut scan = PdOmflp::with_full_scans(inst);
+    let mut naive = NaivePd::new(inst);
     for (step, r) in sc.requests.iter().enumerate() {
+        let (t3s, t4s) = full_scan_targets(inst, inc.bids(), r);
         let a = inc
             .serve(r)
             .unwrap_or_else(|e| panic!("{label}: incremental: {e}"));
-        let b = scan
+        let b = naive
             .serve(r)
-            .unwrap_or_else(|e| panic!("{label}: scan: {e}"));
+            .unwrap_or_else(|e| panic!("{label}: naive: {e}"));
         assert_eq!(a, b, "{label}: outcome diverged at arrival {step}");
-        match (inc.last_opening_targets(), scan.last_opening_targets()) {
-            (None, None) => {} // both took the zero-distance large fast path
-            (Some((t3i, t4i)), Some((t3s, t4s))) => {
+        match inc.last_opening_targets() {
+            // The zero-distance large fast path computes no targets; it
+            // may only fire when an existing large facility serves.
+            None => assert!(
+                a.served_by_large && a.opened.is_empty() && a.connection_cost == 0.0,
+                "{label}: fast path without a co-located large facility at arrival {step}"
+            ),
+            Some((t3i, t4i)) => {
                 assert_eq!(t3i.len(), t3s.len(), "{label}: arrival {step}");
-                for (slot, (ti, ts)) in t3i.iter().zip(t3s).enumerate() {
+                for (slot, (ti, ts)) in t3i.iter().zip(&t3s).enumerate() {
                     assert_eq!(
                         (ti.0.to_bits(), ti.1),
                         (ts.0.to_bits(), ts.1),
@@ -72,11 +118,9 @@ fn assert_targets_lockstep(sc: &omfl_workload::Scenario, label: &str) -> (u64, u
                     "{label}: t4 diverged at arrival {step}"
                 );
             }
-            (i, s) => panic!("{label}: fast-path divergence at arrival {step}: {i:?} vs {s:?}"),
         }
     }
     inc.opening_target_stats()
-        .expect("incremental engine exposes stats")
 }
 
 #[test]
@@ -261,7 +305,8 @@ proptest! {
             let j = (st % (i as u64 + 1)) as usize;
             order.swap(i, j);
         }
-        let mut relabeled = PdOmflp::with_target_order(inst, order);
+        let config = PdConfig { target_order: Some(order), ..PdConfig::default() };
+        let mut relabeled = PdOmflp::with_config(inst, config).unwrap();
         let mut reference = PdOmflp::new(inst);
         for (step, r) in sc.requests.iter().enumerate() {
             let a = relabeled.serve(r).unwrap();

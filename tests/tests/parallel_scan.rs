@@ -1,5 +1,5 @@
-//! Pool-invisibility and ingest-soundness locksteps for the PR 6 serve
-//! path: sharded within-arrival block scans and kd-tree ball ingest.
+//! Pool-invisibility and ingest-soundness locksteps for the sharded
+//! within-arrival block scans and the ball ingest paths.
 //!
 //! The worker pool behind the per-arrival t3/t4 scans is an *execution*
 //! choice, never an *algorithmic* one: the shard partition is a pure
@@ -9,36 +9,36 @@
 //! indistinguishable — per-arrival outcomes, dual sums, total costs, and
 //! even the skip/scan statistics — at 1, 2, 7, or 16 threads, and under
 //! any blocks-per-shard granularity. These tests pin that down across the
-//! workload catalog, alongside the structural invariants both ball-ingest
-//! paths (kd nearest-neighbor and the frozen windowed baseline) must
-//! satisfy: the block partition is a permutation, each block's covering
-//! radius is sound, and the recorded min-id matches the members.
+//! workload catalog against the `NaivePd` reference engine, alongside the
+//! structural invariants both ball-ingest paths (kd nearest-neighbor for
+//! metrics with coordinates, windowed for the rest) must satisfy: the
+//! block partition is a permutation, each block's covering radius is
+//! sound, and the recorded min-id matches the members.
 
 use omfl_core::algorithm::OnlineAlgorithm;
 use omfl_core::index::OpeningTargetIndex;
-use omfl_core::pd::PdOmflp;
+use omfl_core::naive::NaivePd;
+use omfl_core::pd::{PdConfig, PdOmflp};
 use omfl_workload::catalog::{by_name, registry, CatalogProfile};
 use omfl_workload::Scenario;
 use proptest::prelude::*;
 
-fn small_profile() -> CatalogProfile {
-    CatalogProfile {
-        points: 14,
-        services: 6,
-        requests: 60,
-    }
+/// An engine with the scan pool and shard size forced.
+fn tuned_engine(sc: &Scenario, threads: usize, shard_blocks: usize) -> PdOmflp<'_> {
+    let config = PdConfig {
+        scan_threads: Some(threads),
+        shard_blocks,
+        ..PdConfig::default()
+    };
+    PdOmflp::with_config(sc.instance(), config).expect("valid scan config")
 }
 
-/// Runs a configured engine against the stock sequential engine over one
-/// scenario; everything observable must agree bit for bit. Returns the
-/// configured engine's (skipped, scanned) statistics.
-fn assert_engine_lockstep(
-    sc: &Scenario,
-    mut tuned: PdOmflp<'_>,
-    label: &str,
-) -> Option<(u64, u64)> {
+/// Runs a configured engine against `NaivePd` over one scenario;
+/// everything observable must agree bit for bit. Returns the configured
+/// engine's (skipped, scanned) statistics.
+fn assert_engine_lockstep(sc: &Scenario, mut tuned: PdOmflp<'_>, label: &str) -> (u64, u64) {
     let inst = sc.instance();
-    let mut reference = PdOmflp::new(inst);
+    let mut reference = NaivePd::new(inst);
     for (step, r) in sc.requests.iter().enumerate() {
         let a = tuned.serve(r).unwrap_or_else(|e| panic!("{label}: {e}"));
         let b = reference
@@ -63,8 +63,8 @@ fn assert_engine_lockstep(
 fn sharded_scans_are_bit_identical_at_every_thread_count() {
     // The large Euclidean family crosses the dense distance cap and spans
     // 80+ blocks, so small shard sizes genuinely fan each arrival out over
-    // many shards. Every (threads, shard_blocks) cell must match the stock
-    // engine exactly — and, per shard size, report identical statistics at
+    // many shards. Every (threads, shard_blocks) cell must match NaivePd
+    // exactly — and, per shard size, report identical statistics at
     // every thread count (the pool cannot even change what was *attempted*).
     let profile = CatalogProfile {
         points: 40, // × 32 scale → 1280 points
@@ -75,14 +75,12 @@ fn sharded_scans_are_bit_identical_at_every_thread_count() {
         .unwrap()
         .build(&profile, 7)
         .expect("euclid-grid-large");
-    let inst = sc.instance();
     for shard_blocks in [1usize, 3, 128] {
         let mut stats_per_threads = Vec::new();
         for threads in [1usize, 2, 7, 16] {
-            let mut tuned = PdOmflp::new(inst);
-            tuned.configure_parallel_scans(threads, shard_blocks);
+            let tuned = tuned_engine(&sc, threads, shard_blocks);
             let label = format!("euclid-grid-large t={threads} sb={shard_blocks}");
-            let stats = assert_engine_lockstep(&sc, tuned, &label).expect("stats");
+            let stats = assert_engine_lockstep(&sc, tuned, &label);
             stats_per_threads.push((threads, stats));
         }
         let (_, first) = stats_per_threads[0];
@@ -108,24 +106,7 @@ fn sharded_scans_lockstep_on_the_scattered_families() {
     };
     for name in ["cold-scatter-large", "zipf-services-large"] {
         let sc = by_name(name).unwrap().build(&profile, 13).expect(name);
-        let mut tuned = PdOmflp::new(sc.instance());
-        tuned.configure_parallel_scans(7, 2);
-        assert_engine_lockstep(&sc, tuned, name);
-    }
-}
-
-#[test]
-fn reference_layout_engine_is_bit_identical_to_the_current_one() {
-    // `with_reference_layout` freezes the PR 5 layout generation (windowed
-    // balls, 16-point blocks, no kd, no block-pruned shrink walk). The
-    // layout is engine-invisible, so the frozen engine must replay every
-    // family bit for bit — this is what makes the `huge` paired bench a
-    // fair like-for-like speedup measurement.
-    for fam in registry() {
-        let sc = fam.build(&small_profile(), 41).expect(fam.name);
-        let inst = sc.instance();
-        let tuned = PdOmflp::with_reference_layout(inst);
-        assert_engine_lockstep(&sc, tuned, fam.name);
+        assert_engine_lockstep(&sc, tuned_engine(&sc, 7, 2), name);
     }
 }
 
@@ -169,16 +150,17 @@ fn assert_ball_invariants(sc: &Scenario, idx: &OpeningTargetIndex, label: &str) 
 
 #[test]
 fn kd_and_windowed_ball_ingest_both_satisfy_the_block_invariants() {
-    // Both ingest paths — the kd nearest-neighbor balls behind the current
-    // engine and the frozen 256-point-window baseline — must produce sound
-    // layouts on every family that opts into spatial structure. (Scan-mode
-    // families produce the identity layout, which is trivially sound and
-    // checked too.)
+    // Both ingest paths — kd nearest-neighbor balls for metrics with a
+    // coordinate embedding, 256-point-window balls for the rest (the graph
+    // and tree families) — must produce sound layouts on every family that
+    // opts into spatial structure. (Families without a coherent order get
+    // the identity layout, which is trivially sound and checked too.)
     let profile = CatalogProfile {
         points: 24,
         services: 4,
         requests: 10,
     };
+    let (mut kd_families, mut windowed_families) = (0, 0);
     for fam in registry() {
         let sc = fam.build(&profile, 3).expect(fam.name);
         let inst = sc.instance();
@@ -186,18 +168,30 @@ fn kd_and_windowed_ball_ingest_both_satisfy_the_block_invariants() {
         let s = inst.num_commodities();
         let f_small = vec![1.0; m * s];
         let f_full = vec![2.0; m];
-        let kd = OpeningTargetIndex::for_instance(inst, &f_small, &f_full);
-        assert_ball_invariants(&sc, &kd, &format!("{} (kd ingest)", fam.name));
-        let win = OpeningTargetIndex::for_instance_legacy(inst, &f_small, &f_full);
-        assert_ball_invariants(&sc, &win, &format!("{} (windowed ingest)", fam.name));
+        let idx = OpeningTargetIndex::for_instance(inst, &f_small, &f_full);
+        let ingest = if inst.metric().coherent_order().is_none() {
+            "identity layout"
+        } else if inst.metric().kd_coords().is_some() {
+            kd_families += 1;
+            "kd ingest"
+        } else {
+            windowed_families += 1;
+            "windowed ingest"
+        };
+        assert_ball_invariants(&sc, &idx, &format!("{} ({ingest})", fam.name));
     }
+    assert!(
+        kd_families > 0 && windowed_families > 0,
+        "the catalog must exercise both ingest paths \
+         ({kd_families} kd, {windowed_families} windowed)"
+    );
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Random (family, seed, threads, shard size) cells: the tuned engine
-    /// must be indistinguishable from the stock one. Thread counts beyond
+    /// must be indistinguishable from `NaivePd`. Thread counts beyond
     /// the machine's cores are deliberate — oversubscription is another
     /// thing that must not be observable.
     #[test]
@@ -214,8 +208,7 @@ proptest! {
         let fam = families[family_idx % families.len()];
         let profile = CatalogProfile { points, services, requests };
         let sc = fam.build(&profile, seed).unwrap();
-        let mut tuned = PdOmflp::new(sc.instance());
-        tuned.configure_parallel_scans(threads, shard_blocks);
+        let tuned = tuned_engine(&sc, threads, shard_blocks);
         let label = format!("{} t={threads} sb={shard_blocks}", fam.name);
         assert_engine_lockstep(&sc, tuned, &label);
     }

@@ -1,35 +1,46 @@
-//! Locksteps for the PR 8 serve path: kd-bounded partial row fills and
-//! the sharded, f32-screened freeze walk.
+//! Locksteps for the large-metric serve path: kd-bounded partial row
+//! fills and the sharded, f32-screened freeze walk.
 //!
-//! From `PARTIAL_ROW_MIN_POINTS` up (forced on here via the
-//! `set_partial_row_threshold` hook so CI-sized metrics exercise it) the
+//! From `PARTIAL_ROW_MIN_POINTS` up (forced on here via
+//! `PdConfig::partial_row_min_points` so CI-sized metrics exercise it) the
 //! engine no longer fills a full `|M|`-entry distance row per arrival — it
 //! fills only the coverage set `OpeningTargetIndex::query_scan_cover`
 //! predicts from the prepared per-block bounds, and reinvests the freeze
 //! caps through a sharded walk that screens each block with certified f32
-//! brackets before confirming survivors exactly. Both are *execution* choices, never algorithmic
-//! ones: every covered entry is the verbatim metric value, the predicted
-//! cover is a superset of what the pruned scans can read, the freeze
-//! update set is exactly `{p : d < cap}` however it is narrowed, and the
-//! shard partition is a pure function of the block count. So the engine
-//! must be bit-for-bit indistinguishable — per-arrival outcomes, dual
-//! sums, total costs — from the full-row, full-walk reference at 1, 2, 7,
-//! or 16 threads, on every family including the id-scattered adversary.
+//! brackets before confirming survivors exactly. Both are *execution*
+//! choices, never algorithmic ones: every covered entry is the verbatim
+//! metric value, the predicted cover is a superset of what the pruned
+//! scans can read, the freeze update set is exactly `{p : d < cap}`
+//! however it is narrowed, and the shard partition is a pure function of
+//! the block count. So the engine must be bit-for-bit indistinguishable —
+//! per-arrival outcomes, dual sums, total costs, and with every fast path
+//! forced, the final bid matrices and every frozen dual and cap — from the
+//! `NaivePd` reference at 1, 2, 7, or 16 threads, on every family
+//! including the id-scattered adversary.
 
 use omfl_core::algorithm::OnlineAlgorithm;
-use omfl_core::pd::PdOmflp;
+use omfl_core::naive::NaivePd;
+use omfl_core::pd::{PdConfig, PdOmflp};
 use omfl_workload::catalog::{by_name, CatalogProfile};
 use omfl_workload::Scenario;
 use proptest::prelude::*;
 
-/// Serves one scenario on both engines in lockstep; everything observable
-/// must agree bit for bit.
-fn assert_serve_lockstep(
-    sc: &Scenario,
-    mut tuned: PdOmflp<'_>,
-    mut reference: PdOmflp<'_>,
-    label: &str,
-) {
+/// An engine with the partial-row path forced on and the scan pool and
+/// shard size pinned.
+fn forced_engine(sc: &Scenario, threads: usize, shard_blocks: usize) -> PdOmflp<'_> {
+    let config = PdConfig {
+        scan_threads: Some(threads),
+        shard_blocks,
+        partial_row_min_points: 0,
+        ..PdConfig::default()
+    };
+    PdOmflp::with_config(sc.instance(), config).expect("valid forced config")
+}
+
+/// Serves one scenario on the engine and on `NaivePd` in lockstep;
+/// everything observable must agree bit for bit.
+fn assert_serve_lockstep(sc: &Scenario, mut tuned: PdOmflp<'_>, label: &str) {
+    let mut reference = NaivePd::new(sc.instance());
     for (step, r) in sc.requests.iter().enumerate() {
         let a = tuned.serve(r).unwrap_or_else(|e| panic!("{label}: {e}"));
         let b = reference
@@ -53,10 +64,10 @@ fn assert_serve_lockstep(
 fn partial_rows_and_sharded_freeze_lockstep_at_every_thread_count() {
     // euclid-grid-large at points=40 → |M| = 2560: past the dense cap, so
     // the stock engine runs the blocked backend over the radius-bounded
-    // layout — partial rows and the sharded screened freeze are live. The
-    // full-scan engine fills complete rows and freezes with the serial
-    // full walk; both must replay identically at every pool size (the
-    // freeze walk shares the scan pool, so the extremes exercise it too).
+    // layout — partial rows and the sharded screened freeze are live.
+    // NaivePd fills complete rows and freezes with the serial full walk;
+    // both must replay identically at every pool size (the freeze walk
+    // shares the scan pool, so the extremes exercise it too).
     let profile = CatalogProfile {
         points: 40,
         services: 8,
@@ -66,45 +77,14 @@ fn partial_rows_and_sharded_freeze_lockstep_at_every_thread_count() {
         .unwrap()
         .build(&profile, 7)
         .expect("euclid-grid-large");
-    let inst = sc.instance();
     for threads in [1usize, 2, 7, 16] {
-        let mut tuned = PdOmflp::new(inst);
-        tuned.set_partial_row_threshold(0);
+        let tuned = forced_engine(&sc, threads, 16);
         assert!(
             tuned.partial_rows_active(),
             "blocked backend + bounded layout must enable partial rows"
         );
-        tuned.configure_parallel_scans(threads, 16);
-        let reference = PdOmflp::with_full_scans(inst);
-        assert_serve_lockstep(&sc, tuned, reference, &format!("partial t={threads}"));
+        assert_serve_lockstep(&sc, tuned, &format!("partial t={threads}"));
     }
-}
-
-#[test]
-fn frozen_reference_path_keeps_full_rows_and_stays_lockstep() {
-    // `with_reference_layout` pins the PR 5 serve path: full row fills and
-    // the serial freeze, partial rows gated off — that gate is what keeps
-    // the `huge` paired bench a like-for-like measurement. It must still
-    // replay the current engine bit for bit.
-    let profile = CatalogProfile {
-        points: 40,
-        services: 8,
-        requests: 100,
-    };
-    let sc = by_name("euclid-grid-large")
-        .unwrap()
-        .build(&profile, 11)
-        .expect("euclid-grid-large");
-    let inst = sc.instance();
-    let mut current = PdOmflp::new(inst);
-    current.set_partial_row_threshold(0);
-    assert!(current.partial_rows_active());
-    let frozen = PdOmflp::with_reference_layout(inst);
-    assert!(
-        !frozen.partial_rows_active(),
-        "the frozen reference path must not take the partial-row fast path"
-    );
-    assert_serve_lockstep(&sc, frozen, current, "reference-layout");
 }
 
 #[test]
@@ -123,12 +103,9 @@ fn cold_scatter_adversary_locksteps_and_promotes_partial_rows() {
         .unwrap()
         .build(&profile, 13)
         .expect("cold-scatter-large");
-    let inst = sc.instance();
-    let mut tuned = PdOmflp::new(inst);
-    tuned.set_partial_row_threshold(0);
+    let mut tuned = forced_engine(&sc, 7, 2);
     assert!(tuned.partial_rows_active());
-    tuned.configure_parallel_scans(7, 2);
-    let mut reference = PdOmflp::with_full_scans(inst);
+    let mut reference = NaivePd::new(sc.instance());
     for (step, r) in sc.requests.iter().enumerate() {
         let a = tuned
             .serve(r)
@@ -161,12 +138,79 @@ fn cold_scatter_adversary_locksteps_and_promotes_partial_rows() {
     );
 }
 
+#[test]
+fn forced_fast_paths_match_naive_bids_duals_and_caps_bit_for_bit() {
+    // Every fast path at once — partial rows from the first point, an
+    // oversubscribed 7-thread pool, 2-block shards — on the three large
+    // families past the dense cap. Beyond outcomes, the whole frozen dual
+    // state must match NaivePd: every past request's duals and caps, and
+    // every cell of both bid matrices.
+    let profile = CatalogProfile {
+        points: 40,
+        services: 8,
+        requests: 120,
+    };
+    for name in [
+        "zipf-services-large",
+        "euclid-grid-large",
+        "cold-scatter-large",
+    ] {
+        let sc = by_name(name).unwrap().build(&profile, 19).expect(name);
+        let inst = sc.instance();
+        assert!(
+            inst.num_points() > omfl_core::pd::DENSE_DISTANCE_CAP,
+            "{name}: profile failed to cross the dense cap"
+        );
+        let mut fast = forced_engine(&sc, 7, 2);
+        let mut naive = NaivePd::new(inst);
+        for (step, r) in sc.requests.iter().enumerate() {
+            let a = fast.serve(r).unwrap_or_else(|e| panic!("{name}: {e}"));
+            let b = naive
+                .serve(r)
+                .unwrap_or_else(|e| panic!("{name}: naive: {e}"));
+            assert_eq!(a, b, "{name}: outcome diverged at arrival {step}");
+        }
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(fast.past_requests().len(), naive.past_requests().len());
+        for (i, (fp, np)) in fast
+            .past_requests()
+            .iter()
+            .zip(naive.past_requests())
+            .enumerate()
+        {
+            assert_eq!(fp.commodities, np.commodities, "{name}: request {i}");
+            assert_eq!(bits(&fp.duals), bits(&np.duals), "{name}: duals of {i}");
+            assert_eq!(bits(&fp.caps), bits(&np.caps), "{name}: caps of {i}");
+            assert_eq!(
+                fp.cap_total.to_bits(),
+                np.cap_total.to_bits(),
+                "{name}: joint cap of {i}"
+            );
+        }
+        // The engine keeps B commodity-major (`e·|M| + m`), NaivePd
+        // point-major (`m·|S| + e`).
+        let (m, s) = (inst.num_points(), inst.num_commodities());
+        let (fb, fbh) = fast.bids();
+        let (nb, nbh) = naive.bids();
+        for p in 0..m {
+            for e in 0..s {
+                assert_eq!(
+                    fb[e * m + p].to_bits(),
+                    nb[p * s + e].to_bits(),
+                    "{name}: B[{p}][{e}]"
+                );
+            }
+            assert_eq!(fbh[p].to_bits(), nbh[p].to_bits(), "{name}: B-hat[{p}]");
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Random (large family, seed, threads, shard size) cells past the
     /// dense cap: the partial-row engine must be indistinguishable from
-    /// the full-scan one. Thread counts beyond the machine's cores are
+    /// `NaivePd`. Thread counts beyond the machine's cores are
     /// deliberate — oversubscription must not be observable either.
     #[test]
     fn random_partial_row_configurations_never_change_outcomes(
@@ -182,13 +226,9 @@ proptest! {
         let name = families[family_idx % families.len()];
         let profile = CatalogProfile { points, services, requests };
         let sc = by_name(name).unwrap().build(&profile, seed).unwrap();
-        let inst = sc.instance();
-        let mut tuned = PdOmflp::new(inst);
-        tuned.set_partial_row_threshold(0);
+        let tuned = forced_engine(&sc, threads, shard_blocks);
         prop_assert!(tuned.partial_rows_active(), "{name} must cross the dense cap");
-        tuned.configure_parallel_scans(threads, shard_blocks);
-        let reference = PdOmflp::with_full_scans(inst);
         let label = format!("{name} t={threads} sb={shard_blocks}");
-        assert_serve_lockstep(&sc, tuned, reference, &label);
+        assert_serve_lockstep(&sc, tuned, &label);
     }
 }
