@@ -1449,6 +1449,259 @@ mod tests {
         assert!(errs.iter().any(|e| e.contains("thread")), "{errs:?}");
     }
 
+    /// A fixed summary whose fields carry more digits than the 9 places
+    /// the files print, so rounding is part of what the goldens pin.
+    fn golden_summary(n: usize, mean: f64) -> Summary {
+        Summary {
+            n,
+            mean,
+            std: mean / 7.0,
+            ci95: mean / 3.0,
+            min: mean * 0.812_345_678_91,
+            max: mean * 1.187_654_321_09,
+        }
+    }
+
+    fn golden_pd_cell(
+        family: &'static str,
+        points: usize,
+        services: u16,
+        base: f64,
+    ) -> PdCellBench {
+        PdCellBench {
+            family,
+            services,
+            timing: PairedPdTiming {
+                points,
+                requests: 4096,
+                incremental: golden_summary(3, base),
+                naive: golden_summary(3, base * 6.543_21),
+                block_skip_rate: 0.987_654_321,
+                row_hit_rate: Some(0.5),
+            },
+        }
+    }
+
+    fn golden_pd_doc() -> String {
+        pd_json(
+            &golden_pd_cell("zipf-services", 48, 64, 0.002_934_806_123),
+            &golden_pd_cell("zipf-services-large", 4096, 64, 0.167_161_817_456),
+            &golden_pd_cell("euclid-grid-large", 16384, 64, 0.461_067_797_5),
+            &golden_pd_cell("euclid-grid-large", 1_048_576, 8, 11.365_087_363_3),
+        )
+    }
+
+    fn golden_serve_doc() -> String {
+        serve_json(&ServeBench {
+            family: "zipf-services",
+            tenants: 16,
+            arrivals: 32768,
+            shards: 16,
+            pool_threads: 2,
+            serve: golden_summary(3, 0.016_518_132_25),
+            digest_match: true,
+            digest: 0xDEAD_BEEF,
+            faulted_quarantined: 1,
+            faulted_digest_match: false,
+            latency_p50_ns: 256,
+            latency_p99_ns: 4096,
+            backpressure_waits: 20,
+        })
+    }
+
+    fn golden_opt_doc() -> String {
+        let cell = |family, nodes_expanded, optimum: f64| OptBench {
+            family,
+            points: 200,
+            requests: 48,
+            nodes_expanded,
+            gap_certified: 0.0,
+            optimum,
+            root_bound: optimum - 0.000_965_1,
+            digest_match: nodes_expanded != 98,
+            solve: golden_summary(4, 0.688_085_150_4),
+        };
+        opt_json(
+            &[
+                cell("zipf-services", 1, 109.695_044_495_2),
+                cell("euclid-clusters", 98, 86.081_761_359_7),
+            ],
+            &opt_profile(),
+        )
+    }
+
+    /// Golden files pinned against the hand-written emitters the renderer
+    /// replaced: key order, indentation, one-line summaries and every
+    /// precision (9 places, 4 places for ratios, 1 for throughput).
+    #[test]
+    fn pd_json_matches_golden() {
+        assert_eq!(golden_pd_doc(), GOLDEN_PD);
+    }
+
+    #[test]
+    fn serve_json_matches_golden() {
+        assert_eq!(golden_serve_doc(), GOLDEN_SERVE);
+    }
+
+    #[test]
+    fn opt_json_matches_golden() {
+        assert_eq!(golden_opt_doc(), GOLDEN_OPT);
+    }
+
+    const GOLDEN_PD: &str = r#"{
+  "family": "zipf-services",
+  "requests": 4096,
+  "points": 48,
+  "services": 64,
+  "indexed_secs": { "n": 3, "mean": 0.002934806, "std": 0.000419258, "min": 0.002384077, "max": 0.003485535 },
+  "naive_secs": { "n": 3, "mean": 0.019203053, "std": 0.002743293, "min": 0.015599517, "max": 0.022806589 },
+  "speedup": 6.5432,
+  "large": {
+    "family": "zipf-services-large",
+    "requests": 4096,
+    "points": 4096,
+    "services": 64,
+    "incremental_secs": { "n": 3, "mean": 0.167161817, "std": 0.023880260, "min": 0.135793180, "max": 0.198530455 },
+    "naive_secs": { "n": 3, "mean": 1.093774876, "std": 0.156253554, "min": 0.888523294, "max": 1.299026457 },
+    "block_skip_rate": 0.9877,
+    "speedup": 6.5432
+  },
+  "huge": {
+    "family": "euclid-grid-large",
+    "requests": 4096,
+    "points": 1048576,
+    "services": 8,
+    "current_secs": { "n": 3, "mean": 11.365087363, "std": 1.623583909, "min": 9.232379610, "max": 13.497795117 },
+    "naive_secs": { "n": 3, "mean": 74.364153286, "std": 10.623450469, "min": 60.409398588, "max": 88.318907985 },
+    "block_skip_rate": 0.9877,
+    "speedup": 6.5432
+  },
+  "euclid-large": {
+    "family": "euclid-grid-large",
+    "requests": 4096,
+    "points": 16384,
+    "services": 64,
+    "incremental_secs": { "n": 3, "mean": 0.461067797, "std": 0.065866828, "min": 0.374546433, "max": 0.547589162 },
+    "naive_secs": { "n": 3, "mean": 3.016863423, "std": 0.430980489, "min": 2.450735966, "max": 3.582990881 },
+    "block_skip_rate": 0.9877,
+    "speedup": 6.5432
+  }
+}
+"#;
+
+    const GOLDEN_SERVE: &str = r#"{
+  "family": "zipf-services",
+  "tenants": 16,
+  "arrivals": 32768,
+  "shards": 16,
+  "pool_threads": 2,
+  "digest_match": 1.0,
+  "faulted": { "quarantined": 1, "digest_match": 0.0 },
+  "serve_secs": { "n": 3, "mean": 0.016518132, "std": 0.002359733, "min": 0.013418433, "max": 0.019617831 },
+  "arrivals_per_sec": 1983759.4,
+  "latency_p50_ns": 256,
+  "latency_p99_ns": 4096,
+  "backpressure_waits": 20
+}
+"#;
+
+    const GOLDEN_OPT: &str = r#"{
+  "services": 6,
+  "node_budget": 5000,
+  "thread_configs": "[1, 2, 7, 16]",
+  "zipf-services": {
+    "points": 200,
+    "requests": 48,
+    "nodes_expanded": 1,
+    "gap_certified": 0.000000000,
+    "optimum": 109.695044495,
+    "root_bound": 109.694079395,
+    "digest_match": 1.0,
+    "solve_secs": { "n": 4, "mean": 0.688085150, "std": 0.098297879, "min": 0.558962999, "max": 0.817207302 }
+  },
+  "euclid-clusters": {
+    "points": 200,
+    "requests": 48,
+    "nodes_expanded": 98,
+    "gap_certified": 0.000000000,
+    "optimum": 86.081761360,
+    "root_bound": 86.080796260,
+    "digest_match": 0.0,
+    "solve_secs": { "n": 4, "mean": 0.688085150, "std": 0.098297879, "min": 0.558962999, "max": 0.817207302 }
+  }
+}
+"#;
+
+    /// The flattened number keys and string keys of a document.
+    fn key_sets(doc: &str) -> (Vec<String>, Vec<String>) {
+        let (nums, strs) = parse_flat(doc).unwrap();
+        (nums.into_keys().collect(), strs.into_keys().collect())
+    }
+
+    fn tiny_profile() -> CatalogProfile {
+        CatalogProfile {
+            points: 8,
+            services: 8,
+            requests: 16,
+        }
+    }
+
+    // A dropped key would otherwise surface only in a full smoke run, and
+    // an extra key never: each emit must have exactly the committed keys.
+
+    #[test]
+    fn pd_emit_has_the_committed_key_set() {
+        let cell = |family| pd_cell_bench(family, &tiny_profile(), 1).unwrap();
+        let doc = pd_json(
+            &cell("zipf-services"),
+            &cell("zipf-services-large"),
+            &cell("euclid-grid-large"),
+            &cell("euclid-grid-large"),
+        );
+        assert_eq!(
+            key_sets(&doc),
+            key_sets(include_str!("../../../BENCH_pd.json"))
+        );
+    }
+
+    #[test]
+    fn sweep_emit_has_the_committed_key_set() {
+        let doc = sweep_json(&tiny_profile(), 7, 1, 1).unwrap();
+        assert_eq!(
+            key_sets(&doc),
+            key_sets(include_str!("../../../BENCH_sweep.json"))
+        );
+    }
+
+    #[test]
+    fn serve_emit_has_the_committed_key_set() {
+        let doc = serve_json(&serve_bench(2, &tiny_profile(), 1).unwrap());
+        assert_eq!(
+            key_sets(&doc),
+            key_sets(include_str!("../../../BENCH_serve.json"))
+        );
+    }
+
+    #[test]
+    fn opt_emit_has_the_committed_key_set() {
+        // Every family already certifies at one point, one service and one
+        // request, the smallest profile there is.
+        let profile = CatalogProfile {
+            points: 1,
+            services: 1,
+            requests: 1,
+        };
+        let cells = OPT_FAMILIES
+            .iter()
+            .map(|name| opt_bench(name, &profile).unwrap())
+            .collect::<Vec<_>>();
+        let doc = opt_json(&cells, &profile);
+        assert_eq!(
+            key_sets(&doc),
+            key_sets(include_str!("../../../BENCH_opt.json"))
+        );
+    }
+
     #[test]
     fn parser_rejects_malformed_documents() {
         assert!(parse_flat("{").is_err());
