@@ -7,11 +7,17 @@
 //! experiments --out results/       also write CSVs (default: results/)
 //! experiments --emit-json [dir]    write BENCH_pd.json / BENCH_sweep.json /
 //!                                  BENCH_serve.json / BENCH_opt.json
-//! experiments --check-json [dir]   re-run the smoke profile and fail on
-//!                                  missing keys, a >1.5x perf regression
-//!                                  on any >=1ms cell, a speedup below its
-//!                                  floor, or a block skip rate below its
-//!                                  floor, vs the committed baselines.
+//! experiments --check-json [dir]   re-run the smoke profile and judge it
+//!                                  against the committed baselines with
+//!                                  the perfjson::GATES table: it fails on
+//!                                  missing keys, non-finite numbers, a
+//!                                  >1.5x regression of a secs.mean or of
+//!                                  arrivals_per_sec on any >=1ms cell, a
+//!                                  speedup, block skip rate or
+//!                                  digest_match below its floor, or an
+//!                                  exact gate (nodes_expanded,
+//!                                  gap_certified, faulted.quarantined)
+//!                                  differing from its baseline.
 //!                                  The fresh output is always written to
 //!                                  <dir>/bench-fresh/ so CI can upload it
 //!                                  as an artifact — regenerating baselines

@@ -19,90 +19,28 @@
 //! The measurement protocol is [`crate::perfjson::paired_pd_timing`] — the
 //! same harness that produces the gated paired cells of `BENCH_pd.json`.
 
-use crate::perfjson::{paired_pd_timing, PairedPdTiming};
+use crate::perfjson::{paired_pd_timing, pd_euclid_large_profile, pd_large_profile};
 use crate::table::{fmt, Table};
-use omfl_workload::catalog::CatalogProfile;
-
-fn measure(family: &'static str, profile: &CatalogProfile, repeats: usize) -> PairedPdTiming {
-    paired_pd_timing(family, profile, repeats).expect("paired PD timing")
-}
 
 /// Runs the experiment.
 pub fn run(quick: bool) -> Vec<Table> {
-    let cells: Vec<(&str, PairedPdTiming)> = if quick {
-        // Matches perfjson::pd_large_profile / pd_euclid_large_profile, the
-        // gated BENCH_pd.json cells: the steady-state tail (most arrivals
-        // after facilities stabilize) is where the argmin index pays, so
-        // short streams undersell it.
-        vec![
-            (
-                "zipf-services-large",
-                measure(
-                    "zipf-services-large",
-                    &CatalogProfile {
-                        points: 128, // × 32 scale → |M| = 4096
-                        services: 64,
-                        requests: 4096,
-                    },
-                    3,
-                ),
-            ),
-            (
-                "euclid-grid-large",
-                measure(
-                    "euclid-grid-large",
-                    &CatalogProfile {
-                        points: 256, // × 64 scale → |M| = 16384
-                        services: 64,
-                        requests: 4096,
-                    },
-                    3,
-                ),
-            ),
-        ]
-    } else {
-        vec![
-            (
-                "zipf-services-large",
-                measure(
-                    "zipf-services-large",
-                    &CatalogProfile {
-                        points: 128,
-                        services: 64,
-                        requests: 4096,
-                    },
-                    5,
-                ),
-            ),
-            (
-                "euclid-grid-large",
-                measure(
-                    "euclid-grid-large",
-                    &CatalogProfile {
-                        points: 256, // × 64 scale → |M| = 16384
-                        services: 64,
-                        requests: 4096,
-                    },
-                    3,
-                ),
-            ),
-            (
-                // The id-order adversary: ids random w.r.t. space and every
-                // query cold — the distance-free bounds see nothing, so the
-                // skip rate here is purely the relabeled radius bounds.
-                "cold-scatter-large",
-                measure(
-                    "cold-scatter-large",
-                    &CatalogProfile {
-                        points: 128, // × 32 scale → |M| = 4096
-                        services: 64,
-                        requests: 4096,
-                    },
-                    3,
-                ),
-            ),
-        ]
-    };
+    // The gated BENCH_pd.json profiles: the steady-state tail (most
+    // arrivals after facilities stabilize) is where the argmin index pays,
+    // so short streams undersell it.
+    let mut runs = vec![
+        (
+            "zipf-services-large",
+            pd_large_profile(),
+            if quick { 3 } else { 5 },
+        ),
+        ("euclid-grid-large", pd_euclid_large_profile(), 3),
+    ];
+    if !quick {
+        // The id-order adversary: ids random w.r.t. space and every query
+        // cold — the distance-free bounds see nothing, so the skip rate
+        // here is purely the relabeled radius bounds.
+        runs.push(("cold-scatter-large", pd_large_profile(), 3));
+    }
 
     let mut t = Table::new(
         "PD opening targets: incremental argmin + blocked rows vs NaivePd",
@@ -110,14 +48,15 @@ pub fn run(quick: bool) -> Vec<Table> {
             "family", "|M|", "requests", "naive ms", "incr ms", "speedup", "blk skip", "row hit",
         ],
     );
-    for (family, c) in &cells {
+    for (family, profile, repeats) in &runs {
+        let c = paired_pd_timing(family, profile, *repeats).expect("paired PD timing");
         t.row(&[
-            family.to_string(),
+            c.family.to_string(),
             c.points.to_string(),
             c.requests.to_string(),
             fmt(c.naive.mean * 1e3),
             fmt(c.incremental.mean * 1e3),
-            format!("{:.2}x", c.naive.mean / c.incremental.mean),
+            format!("{:.2}x", c.speedup()),
             format!("{:.1}%", 100.0 * c.block_skip_rate),
             c.row_hit_rate
                 .map_or_else(|| "-".to_string(), |r| format!("{:.1}%", 100.0 * r)),

@@ -1,8 +1,8 @@
 //! The `--emit-json` perf-regression path: machine-readable benchmark
-//! baselines in `BENCH_pd.json` / `BENCH_sweep.json`.
+//! baselines in the four `BENCH_*.json` files.
 //!
 //! The ROADMAP's "measurably faster" PRs need numbers to beat; this module
-//! produces them. Two artifacts:
+//! produces them:
 //!
 //! * **`BENCH_pd.json`** — the PD serve hot path in four cells, each
 //!   timing `PdOmflp` against the retained linear-scan reference
@@ -17,32 +17,38 @@
 //!   and the sharded + f32-screened freeze walk). The large cells also
 //!   record their deterministic `block_skip_rate`;
 //! * **`BENCH_sweep.json`** — per (engine × family) serve wall-clock
-//!   (mean/std/min/max over trials) for the whole catalog under the
-//!   work-stealing sweep;
+//!   (mean/std/min/max over trials) for the whole catalog, cells timed
+//!   one at a time;
 //! * **`BENCH_serve.json`** — the multi-tenant serve loop (`omfl_serve`):
 //!   the machine-independent `digest_match` determinism cell (aggregate
 //!   reports bit-identical across shard/thread configs
-//!   [`SERVE_DETERMINISM_CONFIGS`], hard-gated at 1.0), the
+//!   [`SERVE_DETERMINISM_CONFIGS`], hard-gated at 1.0), the faulted panel
+//!   (`faulted.quarantined` exact, `faulted.digest_match` at 1.0), the
 //!   `arrivals_per_sec` throughput cell (gated as a ratio against the
 //!   committed baseline, dev-box target ≥ 1M/s aggregate), and
-//!   informational p50/p99 latency and backpressure telemetry.
+//!   informational p50/p99 latency and backpressure telemetry;
+//! * **`BENCH_opt.json`** — certified exact optima at |M| = 200: exact
+//!   `nodes_expanded` and `gap_certified`, `digest_match` at 1.0, and
+//!   ratio-gated solve seconds.
 //!
 //! The committed files at the repo root are the baseline; CI re-runs the
 //! smoke profile and [`check`]s the fresh numbers against them: missing
-//! keys fail, a `secs.mean` with a baseline of at least [`MIN_GATED_SECS`]
-//! regressing by more than [`REGRESSION_FACTOR`] fails, and the speedups
-//! dropping below [`MIN_PD_SPEEDUP`], [`MIN_LARGE_PD_SPEEDUP`],
-//! [`MIN_EUCLID_LARGE_PD_SPEEDUP`] or [`MIN_HUGE_PD_SPEEDUP`] fail (the
-//! whole rule set is the `GATES` table behind [`check`]).
-//! Wall-clock comparisons across machines are inherently noisy — hence the
-//! sub-millisecond exemption and the emphasis on the machine-independent
-//! *ratios*; the recorded `std` per summary is what justified tightening
-//! the factor to 1.5×.
+//! keys and non-finite numbers fail, and every committed number is judged
+//! by the rows of the `GATES` table behind [`check`] — exact equality for
+//! deterministic counters, floors for the speedups ([`MIN_PD_SPEEDUP`],
+//! [`MIN_LARGE_PD_SPEEDUP`], [`MIN_EUCLID_LARGE_PD_SPEEDUP`],
+//! [`MIN_HUGE_PD_SPEEDUP`]), skip rates and determinism flags, and
+//! [`REGRESSION_FACTOR`] for wall-clock cells whose baseline is at least
+//! [`MIN_GATED_SECS`]. Wall-clock comparisons across machines are
+//! inherently noisy — hence the sub-millisecond exemption and the emphasis
+//! on the machine-independent *ratios*; the recorded `std` per summary is
+//! what justified tightening the factor to 1.5×.
 //!
-//! JSON is written and parsed by hand (the workspace vendors no serde): the
-//! emitter produces a small object tree of numbers/strings (nested objects
-//! to any depth — `large.incremental_secs.mean` is three levels), and the
-//! parser below reads exactly that shape back as flattened dotted keys.
+//! JSON is written and parsed by hand (the workspace vendors no serde).
+//! Each file is built as a [`Cell`] — an ordered list of `(key, value)`
+//! pairs whose numbers carry the precision their gate reads — and one
+//! [`render`] writes them all. The parser below reads that shape back as
+//! flattened dotted keys (`large.incremental_secs.mean` is three levels).
 
 use omfl_baselines::offline::ExactSolver;
 use omfl_core::algorithm::OnlineAlgorithm;
@@ -56,7 +62,6 @@ use omfl_sim::{ArrivalSource, Engine};
 use omfl_workload::catalog::{self, CatalogProfile};
 use omfl_workload::Scenario;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::time::Instant;
 
 /// Fresh `secs.mean` may be at most this factor above the committed
@@ -175,26 +180,6 @@ pub fn pd_huge_profile() -> CatalogProfile {
     }
 }
 
-/// One `BENCH_pd.json` cell: the shared paired timing plus the
-/// identifying metadata the JSON cell records.
-#[derive(Debug, Clone)]
-pub struct PdCellBench {
-    /// Workload family name.
-    pub family: &'static str,
-    /// Commodity count.
-    pub services: u16,
-    /// The paired engine-vs-`NaivePd` measurement.
-    pub timing: PairedPdTiming,
-}
-
-impl PdCellBench {
-    /// `naive.mean / incremental.mean` — what the index layer, the
-    /// opening-target index and the distance substrate buy at this |M|.
-    pub fn speedup(&self) -> f64 {
-        self.timing.naive.mean / self.timing.incremental.mean
-    }
-}
-
 /// One paired `PdOmflp`-vs-[`NaivePd`] measurement, plus the index
 /// diagnostics of the last `PdOmflp` run. Produced by [`paired_pd_timing`]
 /// — the single benchmark protocol behind every cell of `BENCH_pd.json`
@@ -202,8 +187,12 @@ impl PdCellBench {
 /// table can never drift apart.
 #[derive(Debug, Clone)]
 pub struct PairedPdTiming {
+    /// Workload family name.
+    pub family: &'static str,
     /// Actual metric size |M|.
     pub points: usize,
+    /// Commodity count.
+    pub services: u16,
     /// Requests served per run.
     pub requests: usize,
     /// `PdOmflp` wall-clock seconds over the repeats.
@@ -214,6 +203,14 @@ pub struct PairedPdTiming {
     pub block_skip_rate: f64,
     /// Blocked row-cache hit rate (`None` on the dense backend).
     pub row_hit_rate: Option<f64>,
+}
+
+impl PairedPdTiming {
+    /// `naive.mean / incremental.mean` — what the index layer, the
+    /// opening-target index and the distance substrate buy at this |M|.
+    pub fn speedup(&self) -> f64 {
+        self.naive.mean / self.incremental.mean
+    }
 }
 
 /// Times PD serve on a catalog family: `PdOmflp::new` against the
@@ -270,26 +267,14 @@ pub fn paired_pd_timing(
             .map(|(h, m, _)| h as f64 / (h + m).max(1) as f64);
     }
     Ok(PairedPdTiming {
+        family: family.name,
         points: inst.num_points(),
+        services: profile.services,
         requests: scenario.len(),
         incremental: summarize(&incremental),
         naive: summarize(&naive),
         block_skip_rate,
         row_hit_rate,
-    })
-}
-
-/// Times PD serve on `family_name` via [`paired_pd_timing`] and shapes the
-/// result for a `BENCH_pd.json` cell.
-pub fn pd_cell_bench(
-    family_name: &'static str,
-    profile: &CatalogProfile,
-    repeats: usize,
-) -> Result<PdCellBench, CoreError> {
-    Ok(PdCellBench {
-        family: family_name,
-        services: profile.services,
-        timing: paired_pd_timing(family_name, profile, repeats)?,
     })
 }
 
@@ -354,6 +339,19 @@ impl ServeBench {
     }
 }
 
+/// The serve configuration of every bench run at `shards` shards.
+/// Micro-batches amortize the per-batch pool barrier: at 1024 arrivals per
+/// batch the dispatch overhead is a few percent of the engine work; at 128
+/// it dominated and halved aggregate throughput.
+fn serve_config(shards: usize) -> ServeConfig {
+    ServeConfig {
+        shards,
+        micro_batch: 1024,
+        queue_capacity: 8192,
+        deadline: None,
+    }
+}
+
 fn serve_run(
     scenarios: &[Scenario],
     source: &ArrivalSource,
@@ -361,15 +359,7 @@ fn serve_run(
     pool: &TaskPool,
 ) -> Result<(omfl_serve::ServeReport, omfl_serve::ServeTelemetry), CoreError> {
     let server = Server::new(scenarios, Engine::Pd).expect("pd tenants always box");
-    // Micro-batches amortize the per-batch pool barrier: at 1024 arrivals
-    // per batch the dispatch overhead is a few percent of the engine work;
-    // at 128 it dominated and halved aggregate throughput.
-    let cfg = ServeConfig {
-        shards,
-        micro_batch: 1024,
-        queue_capacity: 8192,
-        deadline: None,
-    };
+    let cfg = serve_config(shards);
     let (report, telemetry) = server.serve(source, &cfg, pool).map_err(|e| match e {
         ServeError::Tenant(_, core) => core,
         other => CoreError::BadInstance(other.to_string()),
@@ -383,28 +373,6 @@ fn serve_run(
         )));
     }
     Ok((report, telemetry))
-}
-
-/// Silences the panic-hook stderr noise for the *injected* panics the
-/// faulted serve panel fires on purpose; every other panic keeps the
-/// default report. Installed once per process.
-fn quiet_injected_panics() {
-    use std::sync::Once;
-    static ONCE: Once = Once::new();
-    ONCE.call_once(|| {
-        let default_hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let payload = info.payload();
-            let message = payload
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_default();
-            if !message.contains(omfl_serve::INJECTED_PANIC_MARKER) {
-                default_hook(info);
-            }
-        }));
-    });
 }
 
 /// Times the multi-tenant serve loop on a fleet of `tenants` independent
@@ -443,7 +411,7 @@ pub fn serve_bench(
     // The gate is machine-independent: at every shard/thread config the
     // planned tenant (and only it) is quarantined, and the healthy
     // tenants' digest equals the clean run's digest over the same subset.
-    quiet_injected_panics();
+    omfl_serve::quiet_injected_panics();
     let plan = FaultPlan::seeded(0xC4A05, &lens, 1);
     let planned: Vec<usize> = plan
         .faulted_tenants()
@@ -456,14 +424,8 @@ pub fn serve_bench(
     for &n in SERVE_DETERMINISM_CONFIGS.iter() {
         let pool = TaskPool::new(n);
         let server = Server::new(&scenarios, Engine::Pd).expect("pd tenants always box");
-        let cfg = ServeConfig {
-            shards: n,
-            micro_batch: 1024,
-            queue_capacity: 8192,
-            deadline: None,
-        };
         let (report, _) = server
-            .serve_with_faults(&source, &cfg, &pool, &plan)
+            .serve_with_faults(&source, &serve_config(n), &pool, &plan)
             .map_err(|e| CoreError::BadInstance(e.to_string()))?;
         let quarantined: Vec<usize> = report.quarantined.iter().map(|q| q.tenant).collect();
         faulted_quarantined = report.quarantined.len();
@@ -605,131 +567,194 @@ pub fn opt_bench(
     })
 }
 
-/// Renders `BENCH_opt.json`: one cell per [`OPT_FAMILIES`] entry carrying
-/// the machine-independent `nodes_expanded` / `gap_certified` /
-/// `digest_match` gates plus the certified optimum and per-solve wall
-/// seconds (ratio-gated like every other `secs.mean`).
-pub fn opt_json(cells: &[OptBench], profile: &CatalogProfile) -> String {
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"services\": {},", profile.services);
-    let _ = writeln!(out, "  \"node_budget\": {OPT_NODE_BUDGET},");
-    let _ = writeln!(
-        out,
-        "  \"thread_configs\": \"{:?}\",",
-        OPT_DETERMINISM_CONFIGS
-    );
-    for (i, c) in cells.iter().enumerate() {
-        let _ = writeln!(out, "  \"{}\": {{", c.family);
-        let _ = writeln!(out, "    \"points\": {},", c.points);
-        let _ = writeln!(out, "    \"requests\": {},", c.requests);
-        let _ = writeln!(out, "    \"nodes_expanded\": {},", c.nodes_expanded);
-        let _ = writeln!(out, "    \"gap_certified\": {:.9},", c.gap_certified);
-        let _ = writeln!(out, "    \"optimum\": {:.9},", c.optimum);
-        let _ = writeln!(out, "    \"root_bound\": {:.9},", c.root_bound);
-        let _ = writeln!(
-            out,
-            "    \"digest_match\": {},",
-            if c.digest_match { "1.0" } else { "0.0" }
-        );
-        summary_json(&mut out, "solve_secs", &c.solve, "    ");
-        out.push('\n');
-        out.push_str(if i + 1 < cells.len() {
-            "  },\n"
+// --- one writer for every BENCH_*.json file -------------------------------
+
+/// One value of a bench file.
+#[derive(Debug)]
+pub enum Value {
+    /// A number, pre-formatted at the precision its gate reads
+    /// (`gap_certified` is compared exactly as printed).
+    Num(String),
+    /// A string, written verbatim (bench strings are names and lists).
+    Str(String),
+    /// A nested object.
+    Obj(Cell),
+}
+
+/// An object of a bench file: its `(key, value)` pairs in file order.
+pub type Cell = Vec<(String, Value)>;
+
+fn kv(key: &str, value: Value) -> (String, Value) {
+    (key.to_string(), value)
+}
+
+/// `x` at `places` decimals: 9 for seconds, optima and bounds, 4 for
+/// speedups and skip rates, 1 for throughput and flags.
+fn num(x: f64, places: usize) -> Value {
+    Value::Num(format!("{x:.places$}"))
+}
+
+fn int(n: impl std::fmt::Display) -> Value {
+    Value::Num(n.to_string())
+}
+
+/// A 0.0/1.0 flag, the form the `digest_match` floors read.
+fn flag(on: bool) -> Value {
+    num(if on { 1.0 } else { 0.0 }, 1)
+}
+
+fn summary(s: &Summary) -> Value {
+    Value::Obj(vec![
+        kv("n", int(s.n)),
+        kv("mean", num(s.mean, 9)),
+        kv("std", num(s.std, 9)),
+        kv("min", num(s.min, 9)),
+        kv("max", num(s.max, 9)),
+    ])
+}
+
+/// Writes `cell` as a JSON document. An object whose values are all
+/// scalars goes on one line; any other object puts one key per line,
+/// indented two spaces per level. A non-finite number is refused with an
+/// error naming its dotted key, since JSON has no spelling for it.
+pub fn render(cell: &Cell) -> Result<String, CoreError> {
+    let mut out = String::new();
+    write_object(&mut out, cell, "", "")?;
+    out.push('\n');
+    Ok(out)
+}
+
+fn write_object(out: &mut String, cell: &Cell, path: &str, indent: &str) -> Result<(), CoreError> {
+    let inner = format!("{indent}  ");
+    let (open, sep, close) = if cell.iter().any(|(_, v)| matches!(v, Value::Obj(_))) {
+        (
+            format!("{{\n{inner}"),
+            format!(",\n{inner}"),
+            format!("\n{indent}}}"),
+        )
+    } else {
+        ("{ ".to_string(), ", ".to_string(), " }".to_string())
+    };
+    out.push_str(&open);
+    for (i, (key, value)) in cell.iter().enumerate() {
+        let path = if path.is_empty() {
+            key.clone()
         } else {
-            "  }\n"
-        });
+            format!("{path}.{key}")
+        };
+        out.push_str(&format!("{}\"{key}\": ", if i > 0 { &sep } else { "" }));
+        match value {
+            Value::Obj(child) => write_object(out, child, &path, &inner)?,
+            Value::Num(text) if !text.parse::<f64>().is_ok_and(f64::is_finite) => {
+                return Err(CoreError::BadInstance(format!(
+                    "bench value '{path}' is {text}, which JSON cannot hold"
+                )))
+            }
+            Value::Num(text) => out.push_str(text),
+            Value::Str(text) => out.push_str(&format!("\"{text}\"")),
+        }
     }
-    out.push_str("}\n");
+    out.push_str(&close);
+    Ok(())
+}
+
+/// `BENCH_opt.json`: one cell per [`OPT_FAMILIES`] entry carrying the
+/// machine-independent `nodes_expanded` / `gap_certified` / `digest_match`
+/// gates plus the certified optimum and per-solve wall seconds
+/// (ratio-gated like every other `secs.mean`).
+pub fn opt_cell(cells: &[OptBench], profile: &CatalogProfile) -> Cell {
+    let mut out = vec![
+        kv("services", int(profile.services)),
+        kv("node_budget", int(OPT_NODE_BUDGET)),
+        kv(
+            "thread_configs",
+            Value::Str(format!("{OPT_DETERMINISM_CONFIGS:?}")),
+        ),
+    ];
+    for c in cells {
+        let cell = vec![
+            kv("points", int(c.points)),
+            kv("requests", int(c.requests)),
+            kv("nodes_expanded", int(c.nodes_expanded)),
+            kv("gap_certified", num(c.gap_certified, 9)),
+            kv("optimum", num(c.optimum, 9)),
+            kv("root_bound", num(c.root_bound, 9)),
+            kv("digest_match", flag(c.digest_match)),
+            kv("solve_secs", summary(&c.solve)),
+        ];
+        out.push(kv(c.family, Value::Obj(cell)));
+    }
     out
 }
 
-/// Renders `BENCH_serve.json`: the deterministic `digest_match` cell (CI
-/// hard-gates it at 1.0), the gated throughput cell, and informational
-/// latency/backpressure telemetry. See the README's serve section for the
-/// cell layout.
-pub fn serve_json(b: &ServeBench) -> String {
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"family\": \"{}\",", b.family);
-    let _ = writeln!(out, "  \"tenants\": {},", b.tenants);
-    let _ = writeln!(out, "  \"arrivals\": {},", b.arrivals);
-    let _ = writeln!(out, "  \"shards\": {},", b.shards);
-    let _ = writeln!(out, "  \"pool_threads\": {},", b.pool_threads);
-    let _ = writeln!(
-        out,
-        "  \"digest_match\": {},",
-        if b.digest_match { "1.0" } else { "0.0" }
-    );
-    let _ = writeln!(
-        out,
-        "  \"faulted\": {{ \"quarantined\": {}, \"digest_match\": {} }},",
-        b.faulted_quarantined,
-        if b.faulted_digest_match { "1.0" } else { "0.0" }
-    );
-    summary_json(&mut out, "serve_secs", &b.serve, "  ");
-    out.push_str(",\n");
-    let _ = writeln!(out, "  \"arrivals_per_sec\": {:.1},", b.arrivals_per_sec());
-    let _ = writeln!(out, "  \"latency_p50_ns\": {},", b.latency_p50_ns);
-    let _ = writeln!(out, "  \"latency_p99_ns\": {},", b.latency_p99_ns);
-    let _ = writeln!(out, "  \"backpressure_waits\": {}", b.backpressure_waits);
-    out.push_str("}\n");
-    out
+/// `BENCH_serve.json`: the deterministic `digest_match` cell (CI
+/// hard-gates it at 1.0), the faulted panel, the gated throughput cell, and
+/// informational latency/backpressure telemetry. See the README's serve
+/// section for the cell layout.
+pub fn serve_cell(b: &ServeBench) -> Cell {
+    vec![
+        kv("family", Value::Str(b.family.to_string())),
+        kv("tenants", int(b.tenants)),
+        kv("arrivals", int(b.arrivals)),
+        kv("shards", int(b.shards)),
+        kv("pool_threads", int(b.pool_threads)),
+        kv("digest_match", flag(b.digest_match)),
+        kv(
+            "faulted",
+            Value::Obj(vec![
+                kv("quarantined", int(b.faulted_quarantined)),
+                kv("digest_match", flag(b.faulted_digest_match)),
+            ]),
+        ),
+        kv("serve_secs", summary(&b.serve)),
+        kv("arrivals_per_sec", num(b.arrivals_per_sec(), 1)),
+        kv("latency_p50_ns", int(b.latency_p50_ns)),
+        kv("latency_p99_ns", int(b.latency_p99_ns)),
+        kv("backpressure_waits", int(b.backpressure_waits)),
+    ]
 }
 
-fn summary_json(out: &mut String, key: &str, s: &Summary, indent: &str) {
-    let _ = write!(
-        out,
-        "{indent}\"{key}\": {{ \"n\": {}, \"mean\": {:.9}, \"std\": {:.9}, \"min\": {:.9}, \"max\": {:.9} }}",
-        s.n, s.mean, s.std, s.min, s.max
-    );
+/// The fields every paired PD cell opens with: its identity and both
+/// timings, the `PdOmflp` one under `current_key`.
+fn paired_head(current_key: &str, t: &PairedPdTiming) -> Cell {
+    vec![
+        kv("family", Value::Str(t.family.to_string())),
+        kv("requests", int(t.requests)),
+        kv("points", int(t.points)),
+        kv("services", int(t.services)),
+        kv(current_key, summary(&t.incremental)),
+        kv("naive_secs", summary(&t.naive)),
+    ]
 }
 
-/// One paired cell; `current_key` names the `PdOmflp` timing (`huge`
-/// records it as `current_secs`, the other cells as `incremental_secs`).
-fn large_cell_json(out: &mut String, key: &str, current_key: &str, cell: &PdCellBench) {
-    let _ = writeln!(out, "  \"{key}\": {{");
-    let _ = writeln!(out, "    \"family\": \"{}\",", cell.family);
-    let _ = writeln!(out, "    \"requests\": {},", cell.timing.requests);
-    let _ = writeln!(out, "    \"points\": {},", cell.timing.points);
-    let _ = writeln!(out, "    \"services\": {},", cell.services);
-    summary_json(out, current_key, &cell.timing.incremental, "    ");
-    out.push_str(",\n");
-    summary_json(out, "naive_secs", &cell.timing.naive, "    ");
-    out.push_str(",\n");
-    let _ = writeln!(
-        out,
-        "    \"block_skip_rate\": {:.4},",
-        cell.timing.block_skip_rate
-    );
-    let _ = writeln!(out, "    \"speedup\": {:.4}", cell.speedup());
-    out.push_str("  }");
+/// One nested paired cell: the head plus its deterministic skip rate and
+/// the speedup.
+fn paired_cell(current_key: &str, t: &PairedPdTiming) -> Value {
+    let mut cell = paired_head(current_key, t);
+    cell.push(kv("block_skip_rate", num(t.block_skip_rate, 4)));
+    cell.push(kv("speedup", num(t.speedup(), 4)));
+    Value::Obj(cell)
 }
 
-/// Renders `BENCH_pd.json`: the small-metric `zipf-services` cell at the
-/// top level and the `large` (graph family), `huge` and `euclid-large`
-/// (Euclidean family) cells — every one `PdOmflp` against `NaivePd`, the
-/// large ones carrying their deterministic `block_skip_rate`.
-pub fn pd_json(
-    b: &PdCellBench,
-    large: &PdCellBench,
-    euclid_large: &PdCellBench,
-    huge: &PdCellBench,
-) -> String {
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"family\": \"{}\",", b.family);
-    let _ = writeln!(out, "  \"requests\": {},", b.timing.requests);
-    let _ = writeln!(out, "  \"points\": {},", b.timing.points);
-    let _ = writeln!(out, "  \"services\": {},", b.services);
-    summary_json(&mut out, "indexed_secs", &b.timing.incremental, "  ");
-    out.push_str(",\n");
-    summary_json(&mut out, "naive_secs", &b.timing.naive, "  ");
-    out.push_str(",\n");
-    let _ = writeln!(out, "  \"speedup\": {:.4},", b.speedup());
-    large_cell_json(&mut out, "large", "incremental_secs", large);
-    out.push_str(",\n");
-    large_cell_json(&mut out, "huge", "current_secs", huge);
-    out.push_str(",\n");
-    large_cell_json(&mut out, "euclid-large", "incremental_secs", euclid_large);
-    out.push_str("\n}\n");
+/// `BENCH_pd.json`: the small-metric `zipf-services` cell at the top level
+/// and the `large` (graph family), `huge` and `euclid-large` (Euclidean
+/// family) cells — every one `PdOmflp` against `NaivePd`, the large ones
+/// carrying their deterministic `block_skip_rate`. `huge` records its
+/// engine timing as `current_secs`, the others as `incremental_secs`.
+pub fn pd_cell(
+    small: &PairedPdTiming,
+    large: &PairedPdTiming,
+    euclid_large: &PairedPdTiming,
+    huge: &PairedPdTiming,
+) -> Cell {
+    let mut out = paired_head("indexed_secs", small);
+    out.push(kv("speedup", num(small.speedup(), 4)));
+    out.push(kv("large", paired_cell("incremental_secs", large)));
+    out.push(kv("huge", paired_cell("current_secs", huge)));
+    out.push(kv(
+        "euclid-large",
+        paired_cell("incremental_secs", euclid_large),
+    ));
     out
 }
 
@@ -746,14 +771,14 @@ pub fn sweep_json(
     let cells = timed_sweep(&families, profile, &engines, base_seed, trials, threads)?;
     let wall = t0.elapsed().as_secs_f64();
 
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"threads\": {threads},");
-    let _ = writeln!(out, "  \"trials\": {trials},");
-    let _ = writeln!(out, "  \"points\": {},", profile.points);
-    let _ = writeln!(out, "  \"services\": {},", profile.services);
-    let _ = writeln!(out, "  \"requests\": {},", profile.requests);
-    let _ = writeln!(out, "  \"sweep_wall_secs\": {wall:.9},");
-    let mut first = true;
+    let mut out = vec![
+        kv("threads", int(threads)),
+        kv("trials", int(trials)),
+        kv("points", int(profile.points)),
+        kv("services", int(profile.services)),
+        kv("requests", int(profile.requests)),
+        kv("sweep_wall_secs", num(wall, 9)),
+    ];
     for engine in &engines {
         for fam in &families {
             let secs: Vec<f64> = cells
@@ -761,31 +786,27 @@ pub fn sweep_json(
                 .filter(|c| c.family == fam.name && c.engine == engine.name())
                 .map(|c| c.secs)
                 .collect();
-            if secs.is_empty() {
-                continue;
+            if !secs.is_empty() {
+                let key = format!("{}/{}", engine.name(), fam.name);
+                out.push(kv(
+                    &key,
+                    Value::Obj(vec![kv("secs", summary(&summarize(&secs)))]),
+                ));
             }
-            if !first {
-                out.push_str(",\n");
-            }
-            first = false;
-            let key = format!("{}/{}", engine.name(), fam.name);
-            let mut obj = String::new();
-            summary_json(&mut obj, "secs", &summarize(&secs), "");
-            let _ = write!(out, "  \"{key}\": {{ {} }}", obj.trim_start());
         }
     }
-    out.push_str("\n}\n");
-    Ok(out)
+    render(&out)
 }
 
-// --- minimal JSON reading (the emitter's shape only) ----------------------
+// --- minimal JSON reading (the renderer's shape only) ---------------------
 
 /// Flattened dotted-key views of a parsed document: numbers and strings.
 pub type FlatJson = (BTreeMap<String, f64>, BTreeMap<String, String>);
 
-/// Parses the subset of JSON the emitters above produce — objects, strings,
-/// and numbers — into flattened `"a.b.c" → value` maps. Numbers land in the
-/// first map, strings in the second.
+/// Parses the subset of JSON [`render`] writes — objects, strings, and
+/// finite numbers — into flattened `"a.b.c" → value` maps. Numbers land in
+/// the first map, strings in the second. `NaN` and infinities are refused
+/// with an error naming their key.
 pub fn parse_flat(text: &str) -> Result<FlatJson, String> {
     let mut nums = BTreeMap::new();
     let mut strs = BTreeMap::new();
@@ -867,9 +888,14 @@ fn parse_object(
                     *pos += 1;
                 }
                 let raw: String = c[start..*pos].iter().collect();
+                // `f64::from_str` also reads `NaN` and `inf`, which are not
+                // JSON; a non-finite number would slip through every gate
+                // (all comparisons with NaN are false), so it is refused here.
                 let v: f64 = raw
                     .parse()
-                    .map_err(|_| format!("bad number '{raw}' for key {full}"))?;
+                    .ok()
+                    .filter(|v: &f64| v.is_finite())
+                    .ok_or_else(|| format!("bad number '{raw}' for key {full}"))?;
                 nums.insert(full, v);
             }
             None => return Err("unexpected end of input".into()),
@@ -1083,7 +1109,10 @@ const GATES: &[GateRow] = &[
 
 /// Compares a freshly generated JSON document against a committed baseline.
 ///
-/// A key present in the baseline but missing from the fresh run fails;
+/// A document holding a non-finite number is unreadable, so it fails with
+/// the number's key (every gate comparison with NaN would be false, so it
+/// would pass them all). A key present in the baseline but missing from the
+/// fresh run fails;
 /// every other committed numeric key is judged by each `GATES` row whose
 /// pattern it matches: exact equality for deterministic counters, floors
 /// for the speedups, skip rates and determinism flags, and
@@ -1148,22 +1177,22 @@ pub fn check(fresh: &str, committed: &str, label: &str) -> Result<Vec<String>, V
 /// certified exact-OPT cells. Returns `(BENCH_pd.json, BENCH_sweep.json,
 /// BENCH_serve.json, BENCH_opt.json)` contents.
 pub fn smoke_profile_json() -> Result<(String, String, String, String), CoreError> {
-    let pd = pd_cell_bench("zipf-services", &pd_profile(), 5)?;
-    let large = pd_cell_bench("zipf-services-large", &pd_large_profile(), 3)?;
-    let euclid_large = pd_cell_bench("euclid-grid-large", &pd_euclid_large_profile(), 3)?;
-    let huge = pd_cell_bench("euclid-grid-large", &pd_huge_profile(), 3)?;
-    let pd_doc = pd_json(&pd, &large, &euclid_large, &huge);
+    let pd = paired_pd_timing("zipf-services", &pd_profile(), 5)?;
+    let large = paired_pd_timing("zipf-services-large", &pd_large_profile(), 3)?;
+    let euclid_large = paired_pd_timing("euclid-grid-large", &pd_euclid_large_profile(), 3)?;
+    let huge = paired_pd_timing("euclid-grid-large", &pd_huge_profile(), 3)?;
+    let pd_doc = render(&pd_cell(&pd, &large, &euclid_large, &huge))?;
     // Cells are timed serially: under a parallel sweep, co-scheduled cells
     // contend for cores and per-cell wall-clock becomes too noisy to gate
     // the regression factor on.
     let sweep_doc = sweep_json(&sweep_profile(), 2020, 3, 1)?;
     let (tenants, profile) = serve_profile();
-    let serve_doc = serve_json(&serve_bench(tenants, &profile, 3)?);
+    let serve_doc = render(&serve_cell(&serve_bench(tenants, &profile, 3)?))?;
     let opt_cells = OPT_FAMILIES
         .iter()
         .map(|name| opt_bench(name, &opt_profile()))
         .collect::<Result<Vec<_>, _>>()?;
-    let opt_doc = opt_json(&opt_cells, &opt_profile());
+    let opt_doc = render(&opt_cell(&opt_cells, &opt_profile()))?;
     Ok((pd_doc, sweep_doc, serve_doc, opt_doc))
 }
 
@@ -1178,11 +1207,11 @@ mod tests {
             services: 8,
             requests: 64,
         };
-        let b = pd_cell_bench("zipf-services", &profile, 2).unwrap();
-        let large = pd_cell_bench("zipf-services-large", &profile, 2).unwrap();
-        let euclid = pd_cell_bench("euclid-grid-large", &profile, 2).unwrap();
-        let huge = pd_cell_bench("euclid-grid-large", &profile, 2).unwrap();
-        let doc = pd_json(&b, &large, &euclid, &huge);
+        let b = paired_pd_timing("zipf-services", &profile, 2).unwrap();
+        let large = paired_pd_timing("zipf-services-large", &profile, 2).unwrap();
+        let euclid = paired_pd_timing("euclid-grid-large", &profile, 2).unwrap();
+        let huge = paired_pd_timing("euclid-grid-large", &profile, 2).unwrap();
+        let doc = render(&pd_cell(&b, &large, &euclid, &huge)).unwrap();
         let (nums, strs) = parse_flat(&doc).unwrap();
         assert_eq!(strs["family"], "zipf-services");
         assert_eq!(nums["requests"], 64.0);
@@ -1284,6 +1313,34 @@ mod tests {
         assert!(errs[0].contains("stopped engaging"));
         let engaged = r#"{ "large": { "block_skip_rate": 0.72 } }"#;
         assert!(check(engaged, base_s, "t").is_ok());
+        // Non-finite fresh numbers fail and name their key: every gate
+        // comparison with NaN is false, so they would pass them all.
+        let nan_speedup = r#"{ "a": { "secs": { "mean": 1.0 } }, "speedup": NaN }"#;
+        let errs = check(nan_speedup, base, "t").unwrap_err();
+        assert!(errs[0].contains("'NaN' for key speedup"), "{errs:?}");
+        let nan_skip = r#"{ "large": { "block_skip_rate": NaN } }"#;
+        let errs = check(nan_skip, base_s, "t").unwrap_err();
+        assert!(errs[0].contains("large.block_skip_rate"), "{errs:?}");
+        let inf_secs = r#"{ "a": { "secs": { "mean": inf } }, "speedup": 4.0 }"#;
+        let errs = check(inf_secs, base, "t").unwrap_err();
+        assert!(errs[0].contains("a.secs.mean"), "{errs:?}");
+    }
+
+    #[test]
+    fn render_refuses_non_finite_numbers() {
+        let cell = vec![kv(
+            "large",
+            Value::Obj(vec![kv("speedup", num(f64::NAN, 4))]),
+        )];
+        let err = render(&cell).unwrap_err().to_string();
+        assert!(err.contains("'large.speedup'"), "{err}");
+        let cell = vec![kv("secs", num(f64::INFINITY, 9))];
+        assert!(render(&cell).is_err());
+        let cell = vec![kv("secs", num(1.5, 9)), kv("n", int(3))];
+        assert_eq!(
+            render(&cell).unwrap(),
+            "{ \"secs\": 1.500000000, \"n\": 3 }\n"
+        );
     }
 
     #[test]
@@ -1334,7 +1391,7 @@ mod tests {
             b.faulted_digest_match,
             "healthy tenants must be bit-identical under the injected panic"
         );
-        let doc = serve_json(&b);
+        let doc = render(&serve_cell(&b)).unwrap();
         let (nums, strs) = parse_flat(&doc).unwrap();
         assert_eq!(strs["family"], "zipf-services");
         assert_eq!(nums["tenants"], 3.0);
@@ -1411,7 +1468,7 @@ mod tests {
             assert_eq!(c.gap_certified, 0.0, "{}", c.family);
             assert!(c.optimum > 0.0, "{}", c.family);
         }
-        let doc = opt_json(&cells, &profile);
+        let doc = render(&opt_cell(&cells, &profile)).unwrap();
         let (nums, _) = parse_flat(&doc).unwrap();
         assert_eq!(nums["services"], 4.0);
         assert_eq!(nums["node_budget"], OPT_NODE_BUDGET as f64);
@@ -1467,32 +1524,31 @@ mod tests {
         points: usize,
         services: u16,
         base: f64,
-    ) -> PdCellBench {
-        PdCellBench {
+    ) -> PairedPdTiming {
+        PairedPdTiming {
             family,
+            points,
             services,
-            timing: PairedPdTiming {
-                points,
-                requests: 4096,
-                incremental: golden_summary(3, base),
-                naive: golden_summary(3, base * 6.543_21),
-                block_skip_rate: 0.987_654_321,
-                row_hit_rate: Some(0.5),
-            },
+            requests: 4096,
+            incremental: golden_summary(3, base),
+            naive: golden_summary(3, base * 6.543_21),
+            block_skip_rate: 0.987_654_321,
+            row_hit_rate: Some(0.5),
         }
     }
 
     fn golden_pd_doc() -> String {
-        pd_json(
+        render(&pd_cell(
             &golden_pd_cell("zipf-services", 48, 64, 0.002_934_806_123),
             &golden_pd_cell("zipf-services-large", 4096, 64, 0.167_161_817_456),
             &golden_pd_cell("euclid-grid-large", 16384, 64, 0.461_067_797_5),
             &golden_pd_cell("euclid-grid-large", 1_048_576, 8, 11.365_087_363_3),
-        )
+        ))
+        .unwrap()
     }
 
     fn golden_serve_doc() -> String {
-        serve_json(&ServeBench {
+        render(&serve_cell(&ServeBench {
             family: "zipf-services",
             tenants: 16,
             arrivals: 32768,
@@ -1506,7 +1562,8 @@ mod tests {
             latency_p50_ns: 256,
             latency_p99_ns: 4096,
             backpressure_waits: 20,
-        })
+        }))
+        .unwrap()
     }
 
     fn golden_opt_doc() -> String {
@@ -1521,18 +1578,19 @@ mod tests {
             digest_match: nodes_expanded != 98,
             solve: golden_summary(4, 0.688_085_150_4),
         };
-        opt_json(
+        render(&opt_cell(
             &[
                 cell("zipf-services", 1, 109.695_044_495_2),
                 cell("euclid-clusters", 98, 86.081_761_359_7),
             ],
             &opt_profile(),
-        )
+        ))
+        .unwrap()
     }
 
-    /// Golden files pinned against the hand-written emitters the renderer
-    /// replaced: key order, indentation, one-line summaries and every
-    /// precision (9 places, 4 places for ratios, 1 for throughput).
+    /// Golden text for fixed inputs: key order, indentation, one-line
+    /// summaries and every precision the gates read (9 places, 4 for
+    /// ratios, 1 for throughput and flags).
     #[test]
     fn pd_json_matches_golden() {
         assert_eq!(golden_pd_doc(), GOLDEN_PD);
@@ -1651,13 +1709,14 @@ mod tests {
 
     #[test]
     fn pd_emit_has_the_committed_key_set() {
-        let cell = |family| pd_cell_bench(family, &tiny_profile(), 1).unwrap();
-        let doc = pd_json(
+        let cell = |family| paired_pd_timing(family, &tiny_profile(), 1).unwrap();
+        let doc = render(&pd_cell(
             &cell("zipf-services"),
             &cell("zipf-services-large"),
             &cell("euclid-grid-large"),
             &cell("euclid-grid-large"),
-        );
+        ))
+        .unwrap();
         assert_eq!(
             key_sets(&doc),
             key_sets(include_str!("../../../BENCH_pd.json"))
@@ -1675,7 +1734,7 @@ mod tests {
 
     #[test]
     fn serve_emit_has_the_committed_key_set() {
-        let doc = serve_json(&serve_bench(2, &tiny_profile(), 1).unwrap());
+        let doc = render(&serve_cell(&serve_bench(2, &tiny_profile(), 1).unwrap())).unwrap();
         assert_eq!(
             key_sets(&doc),
             key_sets(include_str!("../../../BENCH_serve.json"))
@@ -1695,7 +1754,7 @@ mod tests {
             .iter()
             .map(|name| opt_bench(name, &profile).unwrap())
             .collect::<Vec<_>>();
-        let doc = opt_json(&cells, &profile);
+        let doc = render(&opt_cell(&cells, &profile)).unwrap();
         assert_eq!(
             key_sets(&doc),
             key_sets(include_str!("../../../BENCH_opt.json"))

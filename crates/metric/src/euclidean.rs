@@ -452,43 +452,6 @@ mod tests {
         }
     }
 
-    /// The same adversarial point cloud as the bulk-fill test: the SIMD
-    /// dispatch must be invisible — rows computed with the explicit kernels
-    /// and with the scalar fallback agree bit for bit.
-    #[test]
-    fn simd_toggle_never_changes_row_bits() {
-        let mut pts = Vec::new();
-        let mut state = 0xA5EDu64;
-        for _ in 0..53 {
-            let mut row = Vec::new();
-            for _ in 0..3 {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                row.push(((state % 20000) as f64 - 10000.0) * 0.59);
-            }
-            pts.push(row);
-        }
-        for norm in [Norm::L1, Norm::L2, Norm::LInf] {
-            let m = EuclideanMetric::new(&pts, norm).unwrap();
-            for q in [0u32, 11, 52] {
-                let mut on = vec![f64::NAN; 53];
-                m.fill_row(PointId(q), &mut on);
-                simd::set_simd_enabled(false);
-                let mut off = vec![f64::NAN; 53];
-                m.fill_row(PointId(q), &mut off);
-                simd::set_simd_enabled(true);
-                for (p, (a, b)) in on.iter().zip(&off).enumerate() {
-                    assert_eq!(
-                        a.to_bits(),
-                        b.to_bits(),
-                        "norm {norm:?}, row {q}, entry {p}"
-                    );
-                }
-            }
-        }
-    }
-
     /// Screening brackets must contain the exact distance for every pair,
     /// including coincident points and large-magnitude coordinates where
     /// f32 narrowing loses real bits.

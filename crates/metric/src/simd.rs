@@ -8,8 +8,10 @@
 //! half the vector width of every AVX machine goes unused. This module
 //! provides the same four kernels as explicit `std::arch` intrinsics behind
 //! a runtime dispatch: AVX when the CPU reports it, SSE2 otherwise, and a
-//! plain scalar loop on every other architecture (or when SIMD is switched
-//! off, see [`set_simd_enabled`]).
+//! plain scalar loop on every other architecture. Each scalar loop is a
+//! named function (`*_scalar`): the dispatch fallback, the vector tails and
+//! the kernel tests all call it, so the path non-x86 targets run stays
+//! tested on x86 too.
 //!
 //! # The bit-identity contract
 //!
@@ -32,26 +34,7 @@
 //! never the arithmetic applied to it. `tests` pins every kernel against
 //! the scalar loop on adversarial values, and the euclidean metric's
 //! `bulk_fill_row_is_bit_identical_to_per_call` test locks the whole row
-//! path to `distance` under every dispatch tier.
-
-use std::sync::atomic::{AtomicBool, Ordering};
-
-/// Global SIMD switch, default on. Results are bit-identical either way —
-/// the toggle exists so paired benches can time the scalar (pre-SIMD) code
-/// path for an honest baseline, and so a misbehaving platform can be ruled
-/// out without a rebuild. Racing toggles are benign for the same reason:
-/// both paths compute the same bits.
-static SIMD_ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Enables or disables the explicit SIMD kernels process-wide.
-pub fn set_simd_enabled(on: bool) {
-    SIMD_ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// Whether the explicit SIMD kernels are currently enabled.
-pub fn simd_enabled() -> bool {
-    SIMD_ENABLED.load(Ordering::Relaxed)
-}
+//! path to `distance` under the tier the machine dispatches to.
 
 /// Which kernel tier [`active_dispatch`] resolves to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,15 +43,12 @@ pub enum Dispatch {
     Avx,
     /// 2 × f64 lanes (`__m128d`), the x86-64 baseline.
     Sse2,
-    /// The plain scalar loops (non-x86 targets, or SIMD disabled).
+    /// The plain scalar loops (non-x86 targets).
     Scalar,
 }
 
-/// The kernel tier the current process would use right now.
+/// The kernel tier this machine's CPU selects.
 pub fn active_dispatch() -> Dispatch {
-    if !simd_enabled() {
-        return Dispatch::Scalar;
-    }
     #[cfg(target_arch = "x86_64")]
     {
         if std::arch::is_x86_feature_detected!("avx") {
@@ -91,12 +71,15 @@ pub fn accumulate_squared(out: &mut [f64], col: &[f64], q: f64) {
         Dispatch::Avx => unsafe { accumulate_squared_avx(out, col, q) },
         #[cfg(target_arch = "x86_64")]
         Dispatch::Sse2 => unsafe { accumulate_squared_sse2(out, col, q) },
-        _ => {
-            for (slot, &c) in out.iter_mut().zip(col) {
-                let d = c - q;
-                *slot += d * d;
-            }
-        }
+        _ => accumulate_squared_scalar(out, col, q),
+    }
+}
+
+/// The scalar arm of [`accumulate_squared`].
+fn accumulate_squared_scalar(out: &mut [f64], col: &[f64], q: f64) {
+    for (slot, &c) in out.iter_mut().zip(col) {
+        let d = c - q;
+        *slot += d * d;
     }
 }
 
@@ -108,11 +91,14 @@ pub fn accumulate_abs(out: &mut [f64], col: &[f64], q: f64) {
         Dispatch::Avx => unsafe { accumulate_abs_avx(out, col, q) },
         #[cfg(target_arch = "x86_64")]
         Dispatch::Sse2 => unsafe { accumulate_abs_sse2(out, col, q) },
-        _ => {
-            for (slot, &c) in out.iter_mut().zip(col) {
-                *slot += (c - q).abs();
-            }
-        }
+        _ => accumulate_abs_scalar(out, col, q),
+    }
+}
+
+/// The scalar arm of [`accumulate_abs`].
+fn accumulate_abs_scalar(out: &mut [f64], col: &[f64], q: f64) {
+    for (slot, &c) in out.iter_mut().zip(col) {
+        *slot += (c - q).abs();
     }
 }
 
@@ -124,11 +110,14 @@ pub fn fold_max_abs(out: &mut [f64], col: &[f64], q: f64) {
         Dispatch::Avx => unsafe { fold_max_abs_avx(out, col, q) },
         #[cfg(target_arch = "x86_64")]
         Dispatch::Sse2 => unsafe { fold_max_abs_sse2(out, col, q) },
-        _ => {
-            for (slot, &c) in out.iter_mut().zip(col) {
-                *slot = slot.max((c - q).abs());
-            }
-        }
+        _ => fold_max_abs_scalar(out, col, q),
+    }
+}
+
+/// The scalar arm of [`fold_max_abs`].
+fn fold_max_abs_scalar(out: &mut [f64], col: &[f64], q: f64) {
+    for (slot, &c) in out.iter_mut().zip(col) {
+        *slot = slot.max((c - q).abs());
     }
 }
 
@@ -153,15 +142,24 @@ pub fn screen_accumulate_squared(lo: &mut [f64], hi: &mut [f64], col: &[f32], q:
         Dispatch::Avx => unsafe { screen_accumulate_squared_avx(lo, hi, col, q, slack) },
         #[cfg(target_arch = "x86_64")]
         Dispatch::Sse2 => unsafe { screen_accumulate_squared_sse2(lo, hi, col, q, slack) },
-        _ => {
-            for ((l, h), &c) in lo.iter_mut().zip(hi.iter_mut()).zip(col) {
-                let a = f64::from(c - q).abs();
-                let al = (a - slack).max(0.0);
-                let ah = a + slack;
-                *l += al * al;
-                *h += ah * ah;
-            }
-        }
+        _ => screen_accumulate_squared_scalar(lo, hi, col, q, slack),
+    }
+}
+
+/// The scalar arm of [`screen_accumulate_squared`].
+fn screen_accumulate_squared_scalar(
+    lo: &mut [f64],
+    hi: &mut [f64],
+    col: &[f32],
+    q: f32,
+    slack: f64,
+) {
+    for ((l, h), &c) in lo.iter_mut().zip(hi.iter_mut()).zip(col) {
+        let a = f64::from(c - q).abs();
+        let al = (a - slack).max(0.0);
+        let ah = a + slack;
+        *l += al * al;
+        *h += ah * ah;
     }
 }
 
@@ -172,18 +170,21 @@ pub fn sqrt_in_place(out: &mut [f64]) {
         Dispatch::Avx => unsafe { sqrt_in_place_avx(out) },
         #[cfg(target_arch = "x86_64")]
         Dispatch::Sse2 => unsafe { sqrt_in_place_sse2(out) },
-        _ => {
-            for slot in out.iter_mut() {
-                *slot = slot.sqrt();
-            }
-        }
+        _ => sqrt_in_place_scalar(out),
+    }
+}
+
+/// The scalar arm of [`sqrt_in_place`].
+fn sqrt_in_place_scalar(out: &mut [f64]) {
+    for slot in out.iter_mut() {
+        *slot = slot.sqrt();
     }
 }
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    //! The intrinsic bodies. Every tail element falls through to the exact
-    //! scalar expression, and every vector op is lane-wise identical to it
+    //! The intrinsic bodies. Every tail falls through to the scalar arm,
+    //! and every vector op is lane-wise identical to it
     //! (see the module docs for why that makes the results bit-identical).
     use std::arch::x86_64::*;
 
@@ -201,10 +202,7 @@ mod x86 {
             );
             i += 4;
         }
-        for j in i..n {
-            let d = col[j] - q;
-            out[j] += d * d;
-        }
+        super::accumulate_squared_scalar(&mut out[i..], &col[i..], q);
     }
 
     pub(super) unsafe fn accumulate_squared_sse2(out: &mut [f64], col: &[f64], q: f64) {
@@ -217,10 +215,7 @@ mod x86 {
             _mm_storeu_pd(out.as_mut_ptr().add(i), _mm_add_pd(acc, _mm_mul_pd(d, d)));
             i += 2;
         }
-        for j in i..n {
-            let d = col[j] - q;
-            out[j] += d * d;
-        }
+        super::accumulate_squared_scalar(&mut out[i..], &col[i..], q);
     }
 
     /// Clears the sign bit — exactly `f64::abs`.
@@ -245,9 +240,7 @@ mod x86 {
             _mm256_storeu_pd(out.as_mut_ptr().add(i), _mm256_add_pd(acc, d));
             i += 4;
         }
-        for j in i..n {
-            out[j] += (col[j] - q).abs();
-        }
+        super::accumulate_abs_scalar(&mut out[i..], &col[i..], q);
     }
 
     pub(super) unsafe fn accumulate_abs_sse2(out: &mut [f64], col: &[f64], q: f64) {
@@ -260,9 +253,7 @@ mod x86 {
             _mm_storeu_pd(out.as_mut_ptr().add(i), _mm_add_pd(acc, d));
             i += 2;
         }
-        for j in i..n {
-            out[j] += (col[j] - q).abs();
-        }
+        super::accumulate_abs_scalar(&mut out[i..], &col[i..], q);
     }
 
     #[target_feature(enable = "avx")]
@@ -276,9 +267,7 @@ mod x86 {
             _mm256_storeu_pd(out.as_mut_ptr().add(i), _mm256_max_pd(acc, d));
             i += 4;
         }
-        for j in i..n {
-            out[j] = out[j].max((col[j] - q).abs());
-        }
+        super::fold_max_abs_scalar(&mut out[i..], &col[i..], q);
     }
 
     pub(super) unsafe fn fold_max_abs_sse2(out: &mut [f64], col: &[f64], q: f64) {
@@ -291,9 +280,7 @@ mod x86 {
             _mm_storeu_pd(out.as_mut_ptr().add(i), _mm_max_pd(acc, d));
             i += 2;
         }
-        for j in i..n {
-            out[j] = out[j].max((col[j] - q).abs());
-        }
+        super::fold_max_abs_scalar(&mut out[i..], &col[i..], q);
     }
 
     #[target_feature(enable = "avx")]
@@ -328,13 +315,7 @@ mod x86 {
             );
             i += 4;
         }
-        for j in i..n {
-            let a = f64::from(col[j] - q).abs();
-            let al = (a - slack).max(0.0);
-            let ah = a + slack;
-            lo[j] += al * al;
-            hi[j] += ah * ah;
-        }
+        super::screen_accumulate_squared_scalar(&mut lo[i..], &mut hi[i..], &col[i..], q, slack);
     }
 
     pub(super) unsafe fn screen_accumulate_squared_sse2(
@@ -360,13 +341,7 @@ mod x86 {
             _mm_storeu_pd(hi.as_mut_ptr().add(i), _mm_add_pd(hacc, _mm_mul_pd(ah, ah)));
             i += 2;
         }
-        for j in i..n {
-            let a = f64::from(col[j] - q).abs();
-            let al = (a - slack).max(0.0);
-            let ah = a + slack;
-            lo[j] += al * al;
-            hi[j] += ah * ah;
-        }
+        super::screen_accumulate_squared_scalar(&mut lo[i..], &mut hi[i..], &col[i..], q, slack);
     }
 
     #[target_feature(enable = "avx")]
@@ -380,9 +355,7 @@ mod x86 {
             );
             i += 4;
         }
-        for v in out[i..n].iter_mut() {
-            *v = v.sqrt();
-        }
+        super::sqrt_in_place_scalar(&mut out[i..]);
     }
 
     pub(super) unsafe fn sqrt_in_place_sse2(out: &mut [f64]) {
@@ -395,9 +368,7 @@ mod x86 {
             );
             i += 2;
         }
-        for v in out[i..n].iter_mut() {
-            *v = v.sqrt();
-        }
+        super::sqrt_in_place_scalar(&mut out[i..]);
     }
 }
 
@@ -429,25 +400,6 @@ mod tests {
             .collect()
     }
 
-    fn scalar_sq(out: &mut [f64], col: &[f64], q: f64) {
-        for (slot, &c) in out.iter_mut().zip(col) {
-            let d = c - q;
-            *slot += d * d;
-        }
-    }
-
-    fn scalar_abs(out: &mut [f64], col: &[f64], q: f64) {
-        for (slot, &c) in out.iter_mut().zip(col) {
-            *slot += (c - q).abs();
-        }
-    }
-
-    fn scalar_max(out: &mut [f64], col: &[f64], q: f64) {
-        for (slot, &c) in out.iter_mut().zip(col) {
-            *slot = slot.max((c - q).abs());
-        }
-    }
-
     #[test]
     fn kernels_are_bit_identical_to_scalar_loops() {
         // Odd lengths exercise every vector tail; accumulators start from a
@@ -459,39 +411,27 @@ mod tests {
                 let mut a = seed.clone();
                 let mut b = seed.clone();
                 accumulate_squared(&mut a, &col, q);
-                scalar_sq(&mut b, &col, q);
+                accumulate_squared_scalar(&mut b, &col, q);
                 assert!(a.iter().zip(&b).all(|(x, y)| x.to_bits() == y.to_bits()));
 
                 let mut a = seed.clone();
                 let mut b = seed.clone();
                 accumulate_abs(&mut a, &col, q);
-                scalar_abs(&mut b, &col, q);
+                accumulate_abs_scalar(&mut b, &col, q);
                 assert!(a.iter().zip(&b).all(|(x, y)| x.to_bits() == y.to_bits()));
 
                 let mut a: Vec<f64> = seed.iter().map(|v| v.abs()).collect();
                 let mut b = a.clone();
                 fold_max_abs(&mut a, &col, q);
-                scalar_max(&mut b, &col, q);
+                fold_max_abs_scalar(&mut b, &col, q);
                 assert!(a.iter().zip(&b).all(|(x, y)| x.to_bits() == y.to_bits()));
 
                 let mut a: Vec<f64> = seed.iter().map(|v| v * v).collect();
                 let mut b = a.clone();
                 sqrt_in_place(&mut a);
-                for slot in b.iter_mut() {
-                    *slot = slot.sqrt();
-                }
+                sqrt_in_place_scalar(&mut b);
                 assert!(a.iter().zip(&b).all(|(x, y)| x.to_bits() == y.to_bits()));
             }
-        }
-    }
-
-    fn scalar_screen(lo: &mut [f64], hi: &mut [f64], col: &[f32], q: f32, slack: f64) {
-        for ((l, h), &c) in lo.iter_mut().zip(hi.iter_mut()).zip(col) {
-            let a = f64::from(c - q).abs();
-            let al = (a - slack).max(0.0);
-            let ah = a + slack;
-            *l += al * al;
-            *h += ah * ah;
         }
     }
 
@@ -510,27 +450,12 @@ mod tests {
                     let (mut al, mut ah) = (seed_lo.clone(), seed_hi.clone());
                     let (mut bl, mut bh) = (seed_lo.clone(), seed_hi.clone());
                     screen_accumulate_squared(&mut al, &mut ah, &col, q, s);
-                    scalar_screen(&mut bl, &mut bh, &col, q, s);
+                    screen_accumulate_squared_scalar(&mut bl, &mut bh, &col, q, s);
                     assert!(al.iter().zip(&bl).all(|(x, y)| x.to_bits() == y.to_bits()));
                     assert!(ah.iter().zip(&bh).all(|(x, y)| x.to_bits() == y.to_bits()));
                 }
             }
         }
-    }
-
-    #[test]
-    fn disabling_simd_changes_nothing_but_the_dispatch() {
-        let col = awkward(97, 3);
-        let mut on = vec![0.0; 97];
-        accumulate_squared(&mut on, &col, 0.125);
-        sqrt_in_place(&mut on);
-        set_simd_enabled(false);
-        assert_eq!(active_dispatch(), Dispatch::Scalar);
-        let mut off = vec![0.0; 97];
-        accumulate_squared(&mut off, &col, 0.125);
-        sqrt_in_place(&mut off);
-        set_simd_enabled(true);
-        assert!(on.iter().zip(&off).all(|(x, y)| x.to_bits() == y.to_bits()));
     }
 
     #[test]

@@ -23,6 +23,28 @@ use std::time::Duration;
 /// assertions can tell deliberate chaos from real bugs.
 pub const INJECTED_PANIC_MARKER: &str = "injected-fault";
 
+/// Silences the default panic-hook report for panics whose message carries
+/// [`INJECTED_PANIC_MARKER`]; every other panic still reaches the previous
+/// hook. Installed once per process, so chaos tests and the faulted bench
+/// panel can fire planned panics without flooding stderr.
+pub fn quiet_injected_panics() {
+    static ONCE: std::sync::Once = std::sync::Once::new();
+    ONCE.call_once(|| {
+        let previous = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            let payload = info.payload();
+            let message = payload
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                .unwrap_or_default();
+            if !message.contains(INJECTED_PANIC_MARKER) {
+                previous(info);
+            }
+        }));
+    });
+}
+
 /// A deterministic fault schedule for one serve run. Build with the
 /// fluent `*_at` methods or [`seeded`](FaultPlan::seeded); pass to
 /// [`Server::serve_with_faults`](crate::Server::serve_with_faults).

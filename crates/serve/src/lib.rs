@@ -50,7 +50,7 @@ pub mod histogram;
 pub mod ring;
 pub mod snapshot;
 
-pub use fault::{FaultPlan, INJECTED_PANIC_MARKER};
+pub use fault::{quiet_injected_panics, FaultPlan, INJECTED_PANIC_MARKER};
 pub use histogram::LatencyHistogram;
 pub use ring::{Arrival, ArrivalRing, PushBudget, PushOutcome};
 pub use snapshot::SnapshotHandle;

@@ -7,35 +7,15 @@
 
 use omfl_par::TaskPool;
 use omfl_serve::{
-    FaultPlan, QuarantineReason, ServeConfig, ServeReport, Server, INJECTED_PANIC_MARKER,
+    quiet_injected_panics, FaultPlan, QuarantineReason, ServeConfig, ServeReport, Server,
+    INJECTED_PANIC_MARKER,
 };
 use omfl_sim::{build_scenario, ArrivalSource, Engine, SimConfig};
 use omfl_workload::Scenario;
-use std::sync::Once;
 use std::time::Duration;
 
 /// The shard/thread sweep every chaos assertion runs under.
 const CONFIGS: [usize; 4] = [1, 2, 7, 16];
-
-/// Silences the default panic-hook stderr spam for the panics this suite
-/// injects on purpose; real panics still report. Installed once.
-fn quiet_injected_panics() {
-    static ONCE: Once = Once::new();
-    ONCE.call_once(|| {
-        let default_hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let payload = info.payload();
-            let message = payload
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_default();
-            if !message.contains(INJECTED_PANIC_MARKER) {
-                default_hook(info);
-            }
-        }));
-    });
-}
 
 /// A small fleet of distinct tenant scenarios (different seeds and sizes).
 fn tenant_fleet(n: usize) -> Vec<Scenario> {
