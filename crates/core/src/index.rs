@@ -8,9 +8,11 @@
 //! grows with `n` (cf. the incremental potential maintenance in
 //! Fotakis-style online facility location implementations).
 //!
-//! [`FacilityIndex`] inverts the maintenance: facilities open rarely, so on
-//! each opening we spend `O(|M|)` once to refresh a per-point cache of
-//! `(nearest facility, distance)` and every subsequent query is `O(1)`.
+//! [`FacilityIndex`] inverts the maintenance: on each opening it folds the
+//! new facility into a per-point cache of `(nearest facility, distance)`,
+//! and every subsequent query is `O(1)`. Openings are frequent on some
+//! workloads, so the fold visits only the blocks of points the new facility
+//! can now be nearest to (its Voronoi cell), not all of `|M|`.
 //!
 //! # Bit-identical tie-breaking (the index invariant)
 //!
@@ -44,6 +46,22 @@ const NO_FACILITY: u32 = u32::MAX;
 ///
 /// Memory is `O(|M|·|S|)` — the same order as the PD bid matrix the analysis
 /// already requires.
+///
+/// # The pruned fold
+///
+/// An opening at `at` changes a point's cached distance only if the new
+/// facility is strictly closer — only points in its Voronoi cell move. With
+/// a block layout attached ([`Self::attach_layout`]) the index keeps, per
+/// (commodity, block) and per block for the large cache, an upper bound on
+/// the cached distances inside the block. Caches only ever decrease, so the
+/// bound may go stale *high* (the with-row folds never touch it) and stays
+/// sound. An opening then skips every block whose certified distance lower
+/// bound `d(rep, at) − radius − slack` (see [`RADIUS_BOUND_SLACK`]) is at
+/// least that maximum: every member `p` has `d(p, at) ≥` the bound `≥` its
+/// cached distance, so the strict-`<` update could not fire anywhere in
+/// it. Surviving blocks run the verbatim per-point update and get their
+/// maximum recomputed exactly. The update is a per-entry min-fold, so the
+/// caches are bit-identical to the full walk whatever is skipped.
 #[derive(Debug, Clone)]
 pub struct FacilityIndex {
     points: usize,
@@ -60,6 +78,26 @@ pub struct FacilityIndex {
     large_f: Vec<u32>,
     /// Openings folded in so far (for diagnostics and refresh-boundary tests).
     openings: usize,
+    /// Block layout shared with the engine's [`OpeningTargetIndex`], when
+    /// attached: enables the pruned fold.
+    layout: Option<Arc<SpatialLayout>>,
+    /// Per-block upper bound on `small_d` over the block's members, flat
+    /// `e·nblocks + b`. Stale-high is sound (caches only decrease).
+    block_max_small: Vec<f64>,
+    /// Per-block upper bound on `large_d`.
+    block_max_large: Vec<f64>,
+    /// Cache entries the per-point update visited, over all openings.
+    points_folded: u64,
+    /// Blocks the pruned fold retired without visiting a member.
+    blocks_skipped: u64,
+    /// Bulk row fills of the streaming fold (see [`BULK_ROW_SHARE`]).
+    rows_filled: u64,
+    /// Per-block distance floor scratch (see [`block_floors`]).
+    floors: Vec<f64>,
+    /// Upper-bracket scratch for the floors' screening pass.
+    floors_hi: Vec<f64>,
+    /// The bulk-filled row of the fallback.
+    row_scratch: Vec<f64>,
 }
 
 impl FacilityIndex {
@@ -72,6 +110,15 @@ impl FacilityIndex {
             large_d: vec![f64::INFINITY; points],
             large_f: vec![NO_FACILITY; points],
             openings: 0,
+            layout: None,
+            block_max_small: Vec::new(),
+            block_max_large: Vec::new(),
+            points_folded: 0,
+            blocks_skipped: 0,
+            rows_filled: 0,
+            floors: Vec::new(),
+            floors_hi: Vec::new(),
+            row_scratch: Vec::new(),
         }
     }
 
@@ -80,13 +127,58 @@ impl FacilityIndex {
         Self::new(inst.num_points(), inst.num_commodities())
     }
 
+    /// Adopts `targets`' block layout so [`Self::note_opening`] visits only
+    /// the blocks the opening can change. Must be installed before the
+    /// first opening; the caches are bit-identical with or without it —
+    /// only the work counters change.
+    pub fn attach_layout(&mut self, targets: &OpeningTargetIndex) {
+        assert_eq!(
+            self.openings, 0,
+            "attach_layout must precede the first opening"
+        );
+        let layout = targets.layout_handle();
+        assert_eq!(
+            layout.perm.len(),
+            self.points,
+            "layout covers another metric"
+        );
+        let nblocks = layout.nblocks();
+        let services = self.small_d.len() / self.points.max(1);
+        self.block_max_small = vec![f64::INFINITY; services * nblocks];
+        self.block_max_large = vec![f64::INFINITY; nblocks];
+        self.layout = Some(layout);
+    }
+
     /// Number of openings folded into the caches so far.
     pub fn openings(&self) -> usize {
         self.openings
     }
 
-    /// Folds a newly opened *small* facility for `e` at `at` into the cache:
-    /// `O(|M|)` distance evaluations, once per opening.
+    /// Cache entries the fold's per-point update visited across all
+    /// openings: `|M|` per streaming pass (no layout, a with-row fold, or
+    /// most blocks surviving), the surviving blocks' members otherwise.
+    /// Deterministic.
+    pub fn points_folded(&self) -> u64 {
+        self.points_folded
+    }
+
+    /// Blocks the pruned fold retired by their distance bound alone.
+    /// Always 0 without an attached layout. Deterministic.
+    pub fn blocks_skipped(&self) -> u64 {
+        self.blocks_skipped
+    }
+
+    /// Openings folded without a caller-supplied row that streamed the
+    /// whole row instead of walking blocks (no layout attached, or the
+    /// surviving blocks held more than a quarter of the points), so the
+    /// fold filled the row in bulk into its own scratch — never into a row
+    /// cache. Deterministic.
+    pub fn rows_filled(&self) -> u64 {
+        self.rows_filled
+    }
+
+    /// Folds a newly opened *small* facility for `e` at `at` into the cache
+    /// (see [`Self::note_opening`]; no row supplied).
     pub fn note_small_opening(
         &mut self,
         inst: &Instance,
@@ -94,36 +186,135 @@ impl FacilityIndex {
         at: PointId,
         fid: FacilityId,
     ) {
-        let base = e.index() * self.points;
-        for p in 0..self.points {
-            // Same argument order as the scan it replaces: d(query, location).
-            let d = inst.distance(PointId(p as u32), at);
-            let idx = base + p;
-            if d < self.small_d[idx] {
-                self.small_d[idx] = d;
-                self.small_f[idx] = fid.0;
-            }
-        }
-        self.openings += 1;
+        self.note_opening(inst, None, Some(e), at, fid);
     }
 
     /// Folds a newly opened *large* facility at `at` into the cache.
     pub fn note_large_opening(&mut self, inst: &Instance, at: PointId, fid: FacilityId) {
-        for p in 0..self.points {
-            let d = inst.distance(PointId(p as u32), at);
-            if d < self.large_d[p] {
-                self.large_d[p] = d;
-                self.large_f[p] = fid.0;
-            }
-        }
-        self.openings += 1;
+        self.note_opening(inst, None, None, at, fid);
     }
 
-    /// [`Self::note_small_opening`] with the opening location's distance
-    /// row supplied by the caller (`row[p] = d(p, at)`, e.g. from a
-    /// [`omfl_metric::blocked::BlockedRowCache`]). The row values must be
-    /// the verbatim metric results — then this is bit-identical to the
-    /// per-call variant, minus the `O(|M|)` pointer-chasing.
+    /// Folds a newly opened facility at `at` — small for `e`, or large
+    /// when `e` is `None` — into the cache. Distances come from `row`
+    /// (`row[p] = d(p, at)`, the verbatim metric values) when the caller
+    /// already holds it, and from `d(p, at)` calls otherwise: the same
+    /// floats either way.
+    ///
+    /// With a layout, only the blocks the new facility can change are
+    /// visited (see the type docs): one representative distance per block
+    /// plus the members of the blocks that survive — about the size of the
+    /// new facility's Voronoi cell. Without a layout, or when the survivors
+    /// hold more than a quarter of the points, one streaming pass over the
+    /// whole row (filled in bulk into a scratch buffer if `row` is `None`)
+    /// replaces the block walk.
+    pub fn note_opening(
+        &mut self,
+        inst: &Instance,
+        row: Option<&[f64]>,
+        e: Option<CommodityId>,
+        at: PointId,
+        fid: FacilityId,
+    ) {
+        let m = self.points;
+        let (cache_d, cache_f) = match e {
+            Some(e) => (
+                &mut self.small_d[e.index() * m..(e.index() + 1) * m],
+                &mut self.small_f[e.index() * m..(e.index() + 1) * m],
+            ),
+            None => (&mut self.large_d[..], &mut self.large_f[..]),
+        };
+        self.openings += 1;
+        let layout = self.layout.as_deref();
+        let nblocks = layout.map_or(0, SpatialLayout::nblocks);
+        let block_max = match e {
+            Some(e) => &mut self.block_max_small[e.index() * nblocks..(e.index() + 1) * nblocks],
+            None => &mut self.block_max_large[..],
+        };
+        // The block walk, unless no layout is attached or the blocks
+        // surviving their floors hold most of the metric.
+        let walk = layout.filter(|layout| {
+            block_floors(layout, inst, at, row, &mut self.floors, &mut self.floors_hi);
+            let survivors = block_max
+                .iter()
+                .zip(&self.floors)
+                .filter(|(mx, f)| f < mx)
+                .count();
+            survivors * layout.block * BULK_ROW_SHARE <= m
+        });
+        let Some(layout) = walk else {
+            // One streaming pass over the whole row, filled in bulk when
+            // the caller has none (bit-identical to `d(p, at)` calls by the
+            // `fill_row` contract), then every block maximum recomputed in
+            // one scatter pass.
+            let row = match row {
+                Some(row) => row,
+                None => {
+                    self.rows_filled += 1;
+                    fill_scratch_row(inst, at, &mut self.row_scratch)
+                }
+            };
+            for ((sd, sf), &d) in cache_d.iter_mut().zip(cache_f.iter_mut()).zip(row) {
+                if d < *sd {
+                    *sd = d;
+                    *sf = fid.0;
+                }
+            }
+            if let Some(layout) = layout {
+                debug_assert!(layout.block.is_power_of_two());
+                let shift = layout.block.trailing_zeros();
+                block_max.fill(0.0);
+                for (&pos, &d) in layout.pos.iter().zip(cache_d.iter()) {
+                    let bmax = &mut block_max[(pos >> shift) as usize];
+                    *bmax = bmax.max(d);
+                }
+            }
+            self.points_folded += m as u64;
+            return;
+        };
+        let dist = |p: u32| match row {
+            Some(r) => r[p as usize],
+            None => inst.distance(PointId(p), at),
+        };
+        let metric = inst.metric();
+        let (mut lo, mut hi) = ([0.0f64; HUGE_BLOCK], [0.0f64; HUGE_BLOCK]);
+        for (bi, (bmax, &floor)) in block_max.iter_mut().zip(&self.floors).enumerate() {
+            // Distances are non-negative, so a block already at distance 0
+            // everywhere is skipped even by the unbounded layout's 0 floor.
+            if floor >= *bmax {
+                self.blocks_skipped += 1;
+                continue;
+            }
+            let start = bi * layout.block;
+            let mems = &layout.perm[start..(start + layout.block).min(m)];
+            let n = mems.len();
+            // Certified brackets spare the exact call wherever `lo ≥` the
+            // cached distance: then `d ≥ cached` and the update is a no-op.
+            // A block no opening has reached yet cannot profit.
+            let screened = row.is_none()
+                && bmax.is_finite()
+                && metric.screen_distances(at, mems, &mut lo[..n], &mut hi[..n]);
+            let mut max = 0.0f64;
+            for (j, &p) in mems.iter().enumerate() {
+                let p = p as usize;
+                if !(screened && lo[j] >= cache_d[p]) {
+                    let d = dist(p as u32);
+                    if d < cache_d[p] {
+                        cache_d[p] = d;
+                        cache_f[p] = fid.0;
+                    }
+                }
+                max = max.max(cache_d[p]);
+            }
+            *bmax = max;
+            self.points_folded += n as u64;
+        }
+    }
+
+    /// Folds a small opening through a caller-supplied full distance row
+    /// (`row[p] = d(p, at)`, e.g. from a
+    /// [`omfl_metric::blocked::BlockedRowCache`]): a streaming pass over
+    /// every point, bit-identical to [`Self::note_small_opening`]. The
+    /// block maxima are left stale-high, which is sound.
     pub fn note_small_opening_with_row(&mut self, row: &[f64], e: CommodityId, fid: FacilityId) {
         let base = e.index() * self.points;
         let (d_row, f_row) = (
@@ -137,9 +328,10 @@ impl FacilityIndex {
             }
         }
         self.openings += 1;
+        self.points_folded += row.len() as u64;
     }
 
-    /// [`Self::note_large_opening`] with a caller-supplied distance row.
+    /// [`Self::note_small_opening_with_row`] for a large opening.
     pub fn note_large_opening_with_row(&mut self, row: &[f64], fid: FacilityId) {
         for (p, &d) in row.iter().enumerate() {
             if d < self.large_d[p] {
@@ -148,6 +340,7 @@ impl FacilityIndex {
             }
         }
         self.openings += 1;
+        self.points_folded += row.len() as u64;
     }
 
     /// Nearest open facility offering `e` (small-for-`e` or large), `O(1)`.
@@ -249,6 +442,14 @@ pub struct PastIndex {
     blocks_skipped: u64,
     /// Blocks the layout-pruned shrink walks actually scanned.
     blocks_scanned: u64,
+    /// Bid-row entries [`Self::shrink_bids`] visited.
+    shrink_entries: u64,
+    /// Per-block distance floor scratch (see [`block_floors`]).
+    floors: Vec<f64>,
+    /// Upper-bracket scratch for the floors' screening pass.
+    floors_hi: Vec<f64>,
+    /// The bulk-filled row of the shrink walk's fallback.
+    row_scratch: Vec<f64>,
 }
 
 impl PastIndex {
@@ -270,6 +471,10 @@ impl PastIndex {
             commodities_at: vec![Vec::new(); points],
             blocks_skipped: 0,
             blocks_scanned: 0,
+            shrink_entries: 0,
+            floors: Vec::new(),
+            floors_hi: Vec::new(),
+            row_scratch: Vec::new(),
         }
     }
 
@@ -279,6 +484,13 @@ impl PastIndex {
     /// layout.
     pub fn stats(&self) -> (u64, u64) {
         (self.blocks_skipped, self.blocks_scanned)
+    }
+
+    /// Bid-row entries the engine's cap-shrink subtractions visited: `|M|`
+    /// per shrinking cap over a materialized row, the members of the
+    /// blocks that can hold `d < old cap` otherwise. Deterministic.
+    pub fn shrink_entries(&self) -> u64 {
+        self.shrink_entries
     }
 
     /// Adopts the opening-target index's block layout so the shrink walks
@@ -297,6 +509,91 @@ impl PastIndex {
         self.block_cap_e = vec![0.0; self.services * nblocks];
         self.block_cap_any = vec![0.0; nblocks];
         self.layout = Some(layout);
+    }
+
+    /// Withdraws one shrinking cap's reinvestment from a bid row. A past
+    /// request at `loc` whose cap falls from `old` to `new < old` had put
+    /// `(old − d(p, loc))⁺` into `b_row[p]` and now puts
+    /// `(new − d(p, loc))⁺` there; the difference vanishes exactly where
+    /// `d(p, loc) ≥ old`, so only entries with `d < old` are touched — the
+    /// same floats, subtracted in the same per-entry expression, as the
+    /// full walk. Entries are independent, so visiting order is free.
+    ///
+    /// With `row` (`row[p] = d(p, loc)`, already materialized by the
+    /// caller) this is one streaming pass, reported to `touched` as `None`
+    /// (any block may have changed). Without it, only blocks whose
+    /// certified distance lower bound is below `old` are walked, with
+    /// `d(p, loc)` from the metric, and each block of the attached layout
+    /// holding a changed entry is reported once as `Some(block)`, so the
+    /// caller can recompute just those opening-target bounds. When those
+    /// blocks hold more than `1/`[`BULK_ROW_SHARE`] of the points, the row
+    /// is filled in bulk into a scratch buffer (never into a row cache) and
+    /// streamed instead.
+    ///
+    /// # Panics
+    ///
+    /// Without an attached layout (the engine always attaches one).
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn shrink_bids(
+        &mut self,
+        inst: &Instance,
+        loc: PointId,
+        row: Option<&[f64]>,
+        old: f64,
+        new: f64,
+        b_row: &mut [f64],
+        mut touched: impl FnMut(Option<u32>),
+    ) {
+        let layout = self
+            .layout
+            .as_deref()
+            .expect("shrink_bids walks the attached layout's blocks");
+        let m = self.points;
+        let row = match row {
+            Some(row) => Some(row),
+            None => {
+                block_floors(
+                    layout,
+                    inst,
+                    loc,
+                    None,
+                    &mut self.floors,
+                    &mut self.floors_hi,
+                );
+                let survivors = self.floors.iter().filter(|&&f| f < old).count();
+                (survivors * layout.block * BULK_ROW_SHARE > m)
+                    .then(|| fill_scratch_row(inst, loc, &mut self.row_scratch))
+            }
+        };
+        if let Some(row) = row {
+            for (b, &dpj) in b_row.iter_mut().zip(row) {
+                if dpj < old {
+                    *b -= (old - dpj).max(0.0) - (new - dpj).max(0.0);
+                }
+            }
+            self.shrink_entries += m as u64;
+            touched(None);
+            return;
+        }
+        for (bi, &floor) in self.floors.iter().enumerate() {
+            if floor >= old {
+                continue;
+            }
+            let start = bi * layout.block;
+            let mems = &layout.perm[start..(start + layout.block).min(m)];
+            let mut changed = false;
+            for &p in mems {
+                let dpj = inst.distance(PointId(p), loc);
+                if dpj < old {
+                    b_row[p as usize] -= (old - dpj).max(0.0) - (new - dpj).max(0.0);
+                    changed = true;
+                }
+            }
+            if changed {
+                touched(Some(bi as u32));
+            }
+            self.shrink_entries += mems.len() as u64;
+        }
     }
 
     /// Registers a freshly frozen request: its location, per-slot
@@ -647,12 +944,13 @@ impl PastIndex {
 ///   distance-free key for exactly the locations that moved —
 ///   `blockmin = min(blockmin, new)`, `O(1)` per moved budget, and the
 ///   invariant is restored immediately.
-/// * **Shrinks** (only when a facility opens, rare): `B` falls, keys
-///   *rise*. A stale-low `blockmin` stays a valid lower bound — pruning
-///   merely gets weaker, never wrong — so correctness needs no action at
-///   all. To keep the prune tight the engine calls [`Self::rebuild_small`]
-///   / [`Self::rebuild_large`] for the affected rows after its cap-shrink
-///   pass (`O(|M|)`, the same order as the pass itself).
+/// * **Shrinks** (only when a facility opens): `B` falls, keys *rise*. A
+///   stale-low `blockmin` stays a valid lower bound — pruning merely gets
+///   weaker, never wrong — so correctness needs no action at all. To keep
+///   the prune tight the engine calls [`Self::rebuild_block`] for exactly
+///   the blocks its cap-shrink pass changed; no other block's keys moved,
+///   so the bounds equal a whole-row rebuild ([`Self::rebuild_small`] /
+///   [`Self::rebuild_large`]).
 ///
 /// Memory: `(|S| + 1) · ⌈|M| / TARGET_BLOCK⌉` bound floats plus the
 /// permutation and per-block summaries — with the block size of
@@ -1109,6 +1407,67 @@ fn dist_upper_bound(d_rep: f64, radius: f64) -> f64 {
     (d_rep + radius) * (1.0 + RADIUS_BOUND_SLACK)
 }
 
+/// The pruned opening passes (the fold and the cap-shrink walk) switch to
+/// one streaming pass over the whole row once the blocks surviving their
+/// distance bounds hold more than `1/BULK_ROW_SHARE` of the points, filling
+/// the row in bulk into a scratch buffer when the backend does not hold it
+/// (a memcpy for graph metrics, a SIMD stream for Euclidean ones): that
+/// beats a block walk and that many pointwise metric calls. Metrics whose
+/// block radii are near their distance scale (small-world graphs) and the
+/// first openings of a commodity, when no cached distance is finite yet,
+/// take this path.
+const BULK_ROW_SHARE: usize = 4;
+
+/// `d(·, at)` filled in bulk into `scratch` (the verbatim metric values).
+fn fill_scratch_row<'s>(inst: &Instance, at: PointId, scratch: &'s mut Vec<f64>) -> &'s [f64] {
+    scratch.resize(inst.num_points(), 0.0);
+    inst.fill_row(at, scratch);
+    scratch
+}
+
+/// Certified per-block lower bounds on `d(p, at)`, one per block of
+/// `layout`, written to `floors` (`hi` is scratch). Each is
+/// [`dist_lower_bound`] of the block representative's distance — read from
+/// `row` (`row[p] = d(p, at)`) when given, otherwise from the metric's
+/// screening brackets ([`omfl_metric::Metric::screen_distances`]; the
+/// bound is monotone in the distance, so a certified `lo` keeps it sound)
+/// and from exact calls when the metric offers none. The unbounded
+/// layout's floors are all 0.
+fn block_floors(
+    layout: &SpatialLayout,
+    inst: &Instance,
+    at: PointId,
+    row: Option<&[f64]>,
+    floors: &mut Vec<f64>,
+    hi: &mut Vec<f64>,
+) {
+    let nblocks = layout.nblocks();
+    floors.clear();
+    floors.resize(nblocks, 0.0);
+    if !layout.bounded {
+        return;
+    }
+    hi.clear();
+    hi.resize(nblocks, 0.0);
+    match row {
+        Some(row) => {
+            for (f, &r) in floors.iter_mut().zip(&layout.rep) {
+                *f = row[r as usize];
+            }
+        }
+        None => {
+            if !inst.metric().screen_distances(at, &layout.rep, floors, hi) {
+                for (f, &r) in floors.iter_mut().zip(&layout.rep) {
+                    *f = inst.distance(PointId(r), at);
+                }
+            }
+        }
+    }
+    for (f, &radius) in floors.iter_mut().zip(&layout.radius) {
+        *f = dist_lower_bound(*f, radius);
+    }
+}
+
 /// Executes `body(0..nshards)` on the pool when one is installed, inline
 /// otherwise. Each shard's work must be independent (ours are: disjoint
 /// [`ShardWriter`] chunks over shared read-only inputs), which makes the
@@ -1133,19 +1492,24 @@ fn run_shards(pool: Option<&TaskPool>, nshards: usize, body: &(dyn Fn(usize) + S
     }
 }
 
+/// The exact minimum opening key over block `bi`.
+fn block_bound(layout: &SpatialLayout, f_row: &[f64], b_row: &[f64], bi: usize) -> f64 {
+    let start = bi * layout.block;
+    let end = (start + layout.block).min(f_row.len());
+    let mut min = f64::INFINITY;
+    for &p in &layout.perm[start..end] {
+        let p = p as usize;
+        let v = opening_key(f_row[p], b_row[p]);
+        if v < min {
+            min = v;
+        }
+    }
+    min
+}
+
 fn block_bounds(layout: &SpatialLayout, f_row: &[f64], b_row: &[f64], out: &mut [f64]) {
     for (bi, slot) in out.iter_mut().enumerate() {
-        let start = bi * layout.block;
-        let end = (start + layout.block).min(f_row.len());
-        let mut min = f64::INFINITY;
-        for &p in &layout.perm[start..end] {
-            let p = p as usize;
-            let v = opening_key(f_row[p], b_row[p]);
-            if v < min {
-                min = v;
-            }
-        }
-        *slot = min;
+        *slot = block_bound(layout, f_row, b_row, bi);
     }
 }
 
@@ -1436,8 +1800,9 @@ impl OpeningTargetIndex {
     /// rebuild moves the bounds (the engine's serve order); a cover
     /// computed from the same bounds the scans will read cannot go stale
     /// within the arrival. Consumers that outlive the arrival's scans
-    /// (openings, cap shrinks) read full rows and trigger the row cache's
-    /// coverage fallback instead.
+    /// (the opening fold, the cap shrinks) never read this row: they use a
+    /// full row only where the backend already holds one and call the
+    /// metric otherwise.
     pub fn query_scan_cover(&mut self, members: &[CommodityId], out: &mut Vec<u32>) {
         out.clear();
         let nblocks = self.nblocks;
@@ -1906,6 +2271,24 @@ impl OpeningTargetIndex {
     /// Recomputes the t4 block bounds (see [`Self::rebuild_small`]).
     pub fn rebuild_large(&mut self, f_full: &[f64], b_large: &[f64]) {
         block_bounds(&self.layout, f_full, b_large, &mut self.large);
+    }
+
+    /// Recomputes block `block` of `e`'s bounds — or of the t4 bounds when
+    /// `e` is `None` — after a cap shrink lowered budgets inside it. A
+    /// shrink pass that rebuilds every block it touched leaves the bounds
+    /// equal to a whole-row rebuild: no other block's keys moved.
+    pub fn rebuild_block(
+        &mut self,
+        e: Option<CommodityId>,
+        f_row: &[f64],
+        b_row: &[f64],
+        block: u32,
+    ) {
+        let slot = match e {
+            Some(e) => &mut self.small[e.index() * self.nblocks + block as usize],
+            None => &mut self.large[block as usize],
+        };
+        *slot = block_bound(&self.layout, f_row, b_row, block as usize);
     }
 
     /// `(blocks pruned, blocks scanned)` across all queries so far.

@@ -38,8 +38,10 @@
 //! The serve hot path is built on [`crate::index`]:
 //!
 //! * `d(F(e), r)` / `d(F̂, r)` come from a [`FacilityIndex`] — per-point
-//!   nearest-open-facility caches refreshed in `O(|M|)` *once per opening*
-//!   instead of scanned per request (openings are rare; requests are not);
+//!   nearest-open-facility caches refreshed *once per opening* instead of
+//!   scanned per request. The refresh visits only the layout blocks the new
+//!   facility can be nearest to (its Voronoi cell), reading the opening's
+//!   row only where the backend already holds it in full;
 //! * the t3/t4 opening targets come from an [`OpeningTargetIndex`] — a
 //!   bucketed lower-bound prune list over the monotone distance-free keys
 //!   `(f − B)⁺`, with blocks laid over a spatially coherent relabeling and
@@ -53,8 +55,11 @@
 //! * the cap-shrink passes after an opening consult a [`PastIndex`] —
 //!   past requests bucketed by location with per-bucket cap bounds — so the
 //!   walk is over locations (`O(|M|)`), not over the whole request history.
+//!   Each shrinking cap withdraws its bid only from entries with
+//!   `d < old cap` (`PastIndex::shrink_bids`), and only the target-index
+//!   blocks it changed are rebuilt.
 //!
-//! Distances flow through a [`DistanceBackend`]: a dense `|M|²` matrix up
+//! Distances flow through a `DistanceBackend`: a dense `|M|²` matrix up
 //! to [`DENSE_DISTANCE_CAP`] points, and a fixed-budget blocked row LRU
 //! ([`omfl_metric::blocked::BlockedRowCache`]) beyond it, so large metrics
 //! keep cached-row locality instead of paying a metric call per distance.
@@ -141,6 +146,9 @@ pub struct PdOmflp<'a> {
     /// Scratch for the partial-row coverage ids (block reps, then the
     /// predicted scan cover; see [`OpeningTargetIndex::query_scan_cover`]).
     cover_scratch: Vec<u32>,
+    /// `(bid row, block)` pairs an opening's cap-shrink pass changed; row
+    /// `e` is `B[·][e]`, row `|S|` is `B̂`, block [`WHOLE_ROW`] all of it.
+    shrink_touched: Vec<(u32, u32)>,
     /// Point-count floor for the partial-row serve path
     /// ([`PdConfig::partial_row_min_points`]).
     partial_rows_min: usize,
@@ -172,16 +180,25 @@ enum DistanceBackend {
 }
 
 impl DistanceBackend {
+    /// The full row `d(·, q)` if the backend already holds it — the dense
+    /// matrix row, or a fully covered cached row — without filling
+    /// anything.
+    #[inline]
+    fn full_row(&self, inst: &Instance, q: PointId) -> Option<&[f64]> {
+        let m = inst.num_points();
+        match self {
+            DistanceBackend::Dense(d) => Some(&d[q.index() * m..(q.index() + 1) * m]),
+            DistanceBackend::Blocked(c) => c.cached_row(q.0),
+        }
+    }
+
     /// A single `d(p, q)`. Cheap for `Dense`/cached `Blocked` rows; falls
     /// back to the metric call otherwise (bit-identical by contract).
     #[inline]
     fn point(&self, inst: &Instance, p: PointId, q: PointId) -> f64 {
-        match self {
-            DistanceBackend::Dense(d) => d[q.index() * inst.num_points() + p.index()],
-            DistanceBackend::Blocked(c) => match c.cached_row(q.0) {
-                Some(row) => row[p.index()],
-                None => inst.distance(p, q),
-            },
+        match self.full_row(inst, q) {
+            Some(row) => row[p.index()],
+            None => inst.distance(p, q),
         }
     }
 }
@@ -200,6 +217,10 @@ fn backend_row<'r>(dist: &'r mut DistanceBackend, inst: &Instance, q: PointId) -
         DistanceBackend::Blocked(c) => c.row_with(q.0, |buf| inst.fill_row(q, buf)),
     }
 }
+
+/// Block tag of a [`PdOmflp`] cap-shrink report covering a whole bid row
+/// (a streaming pass over a materialized distance row).
+const WHOLE_ROW: u32 = u32::MAX;
 
 /// Per-member outcome inside one arrival.
 #[derive(Clone, Copy, Debug)]
@@ -392,13 +413,16 @@ impl<'a> PdOmflp<'a> {
             None => OpeningTargetIndex::for_instance(inst, &f_small, &f_full),
             Some(order) => OpeningTargetIndex::with_order(inst, &f_small, &f_full, order),
         };
-        // Share the target index's spatial layout with the shrink walk so
-        // it can skip whole blocks, and fan the per-arrival block scans out
-        // over a worker pool once they are long enough to amortize it.
+        // Share the target index's spatial layout with the opening fold and
+        // the shrink walks so they can skip whole blocks, and fan the
+        // per-arrival block scans out over a worker pool once they are long
+        // enough to amortize it.
         // Both are engine-invisible: results and skip/scan statistics stay
         // bit-identical.
         let mut past_index = PastIndex::new(m, s);
         past_index.attach_layout(targets.layout_handle());
+        let mut index = FacilityIndex::new(m, s);
+        index.attach_layout(&targets);
         let threads = config.scan_threads.unwrap_or_else(|| {
             if m >= PAR_SCAN_MIN_POINTS {
                 omfl_par::default_threads()
@@ -414,7 +438,7 @@ impl<'a> PdOmflp<'a> {
             inst,
             sol: Solution::new(),
             past: Vec::new(),
-            index: FacilityIndex::new(m, s),
+            index,
             past_index,
             b_small: vec![0.0; m * s],
             b_large: vec![0.0; m],
@@ -423,6 +447,7 @@ impl<'a> PdOmflp<'a> {
             dist,
             moved_scratch: Vec::new(),
             cover_scratch: Vec::new(),
+            shrink_touched: Vec::new(),
             partial_rows_min: config.partial_row_min_points,
             targets,
             last_t3: Vec::new(),
@@ -433,14 +458,12 @@ impl<'a> PdOmflp<'a> {
         }
     }
 
-    /// Folds a fresh opening into the facility index through a borrowed
-    /// distance row.
+    /// Folds a fresh opening into the facility index: the block-pruned
+    /// fold, reading the opening's row where the backend already holds it
+    /// in full (it never asks the backend to fill one).
     fn note_opening(&mut self, e: Option<CommodityId>, at: PointId, fid: FacilityId) {
-        let row = backend_row(&mut self.dist, self.inst, at);
-        match e {
-            Some(e) => self.index.note_small_opening_with_row(row, e, fid),
-            None => self.index.note_large_opening_with_row(row, fid),
-        }
+        let row = self.dist.full_row(self.inst, at);
+        self.index.note_opening(self.inst, row, e, at, fid);
     }
 
     /// The instance the algorithm runs on.
@@ -509,9 +532,10 @@ impl<'a> PdOmflp<'a> {
         self.targets.stats()
     }
 
-    /// `(blocks skipped, blocks scanned)` by the past-index shrink walks.
-    pub fn past_index_stats(&self) -> (u64, u64) {
-        self.past_index.stats()
+    /// The past-request index behind the cap-shrink passes (diagnostics:
+    /// its walk and shrink-entry counters).
+    pub fn past_index(&self) -> &PastIndex {
+        &self.past_index
     }
 
     /// `(hits, misses, evictions)` of the blocked distance-row cache;
@@ -524,8 +548,10 @@ impl<'a> PdOmflp<'a> {
     }
 
     /// Coverage-fallback promotions of the blocked row cache: partial rows
-    /// a full-row consumer (an opening's shrink pass) forced up to a full
-    /// fill. `None` for the dense backend.
+    /// a full-row consumer forced up to a full fill. The engine has none on
+    /// the partial-row path (openings only read rows the backend already
+    /// holds in full), so this stays 0 there. `None` for the dense
+    /// backend.
     pub fn row_fallback_promotions(&self) -> Option<u64> {
         match &self.dist {
             DistanceBackend::Blocked(c) => Some(c.fallback_promotions()),
@@ -561,39 +587,31 @@ impl<'a> PdOmflp<'a> {
     /// The [`PastIndex`] narrows the walk to members whose location-bucket
     /// cap bound exceeds the new distance; candidates come back in the
     /// ascending `(past index, slot)` order the full history walk used, so
-    /// the `B` updates happen in the identical floating-point order.
+    /// the `B` updates happen in the identical floating-point order. Each
+    /// shrinking cap touches only the entries with `d < old cap`
+    /// ([`PastIndex::shrink_bids`]).
     fn post_open_small(&mut self, e: CommodityId, at: PointId) {
         let m = self.inst.num_points();
-        let mut shrank = false;
+        let mut touched = std::mem::take(&mut self.shrink_touched);
+        touched.clear();
         for (pi, slot) in self.past_index.small_shrink_candidates(self.inst, e, at) {
             let pr = &self.past[pi as usize];
-            let dj = self.dist.point(self.inst, at, pr.location);
+            let loc = pr.location;
+            let dj = self.dist.point(self.inst, at, loc);
             let old = pr.caps[slot as usize];
             if dj < old {
-                let loc = pr.location;
-                shrank = true;
-                let drow = backend_row(&mut self.dist, self.inst, loc);
+                let drow = self.dist.full_row(self.inst, loc);
                 let row = &mut self.b_small[e.index() * m..(e.index() + 1) * m];
-                for (b, &dpj) in row.iter_mut().zip(drow) {
-                    // delta = (old − dpj)⁺ − (dj − dpj)⁺ vanishes exactly
-                    // when dpj ≥ old (dj < old), so the skip is bit-exact.
-                    if dpj < old {
-                        let delta = (old - dpj).max(0.0) - (dj - dpj).max(0.0);
-                        *b -= delta;
-                    }
-                }
+                let tag = e.index() as u32;
+                self.past_index
+                    .shrink_bids(self.inst, loc, drow, old, dj, row, |b| {
+                        touched.push((tag, b.unwrap_or(WHOLE_ROW)))
+                    });
                 self.past[pi as usize].caps[slot as usize] = dj;
             }
         }
-        // `B[·][e]` shrank: the block bounds went stale low (still sound);
-        // one rebuild per pass restores tight pruning.
-        if shrank {
-            self.targets.rebuild_small(
-                e,
-                &self.f_small[e.index() * m..(e.index() + 1) * m],
-                &self.b_small[e.index() * m..(e.index() + 1) * m],
-            );
-        }
+        self.rebuild_touched(&mut touched);
+        self.shrink_touched = touched;
     }
 
     /// Applies cap shrinkage after a *large* facility opened at `at`:
@@ -601,61 +619,80 @@ impl<'a> PdOmflp<'a> {
     /// [`Self::post_open_small`], walking candidate requests in ascending
     /// past order.
     fn post_open_large(&mut self, at: PointId) {
-        let m = self.inst.num_points();
-        let mut shrank_large = false;
-        let mut shrank_small: Vec<CommodityId> = Vec::new();
+        let (m, s) = (self.inst.num_points(), self.inst.num_commodities());
+        let mut touched = std::mem::take(&mut self.shrink_touched);
+        touched.clear();
         for pi in self.past_index.large_shrink_candidates(self.inst, at) {
             let pi = pi as usize;
             let loc = self.past[pi].location;
             let dj = self.dist.point(self.inst, at, loc);
-            let any_shrink =
-                dj < self.past[pi].cap_total || self.past[pi].caps.iter().any(|&c| dj < c);
-            if !any_shrink {
-                continue;
-            }
-            let drow = backend_row(&mut self.dist, self.inst, loc);
+            let drow = self.dist.full_row(self.inst, loc);
             // Large-facility cap.
             let old_total = self.past[pi].cap_total;
             if dj < old_total {
-                shrank_large = true;
-                for (b, &dpj) in self.b_large.iter_mut().zip(drow) {
-                    if dpj < old_total {
-                        let delta = (old_total - dpj).max(0.0) - (dj - dpj).max(0.0);
-                        *b -= delta;
-                    }
-                }
+                let row = &mut self.b_large[..];
+                let tag = s as u32;
+                self.past_index
+                    .shrink_bids(self.inst, loc, drow, old_total, dj, row, |b| {
+                        touched.push((tag, b.unwrap_or(WHOLE_ROW)))
+                    });
                 self.past[pi].cap_total = dj;
             }
             // Per-commodity caps (a large facility offers every commodity).
             for slot in 0..self.past[pi].commodities.len() {
                 let old = self.past[pi].caps[slot];
                 if dj < old {
-                    let e = self.past[pi].commodities[slot];
-                    shrank_small.push(e);
-                    let row = &mut self.b_small[e.index() * m..(e.index() + 1) * m];
-                    for (b, &dpj) in row.iter_mut().zip(drow) {
-                        if dpj < old {
-                            let delta = (old - dpj).max(0.0) - (dj - dpj).max(0.0);
-                            *b -= delta;
-                        }
-                    }
+                    let e = self.past[pi].commodities[slot].index();
+                    let row = &mut self.b_small[e * m..(e + 1) * m];
+                    let tag = e as u32;
+                    self.past_index
+                        .shrink_bids(self.inst, loc, drow, old, dj, row, |b| {
+                            touched.push((tag, b.unwrap_or(WHOLE_ROW)))
+                        });
                     self.past[pi].caps[slot] = dj;
                 }
             }
         }
-        // Budgets shrank: stale-low block bounds stay sound, but one
-        // rebuild per affected row restores tight pruning.
-        if shrank_large {
-            self.targets.rebuild_large(&self.f_full, &self.b_large);
-        }
-        shrank_small.sort_unstable();
-        shrank_small.dedup();
-        for e in shrank_small {
-            self.targets.rebuild_small(
-                e,
-                &self.f_small[e.index() * m..(e.index() + 1) * m],
-                &self.b_small[e.index() * m..(e.index() + 1) * m],
-            );
+        self.rebuild_touched(&mut touched);
+        self.shrink_touched = touched;
+    }
+
+    /// Restores tight opening-target bounds after a cap-shrink pass: every
+    /// `(bid row, block)` it changed is recomputed once (row `|S|` is
+    /// `B̂`; a [`WHOLE_ROW`] entry rebuilds the row and makes its block
+    /// entries redundant). Budgets only fell there, so the stale bounds
+    /// were sound; the rebuilt ones equal a whole-row rebuild.
+    fn rebuild_touched(&mut self, touched: &mut Vec<(u32, u32)>) {
+        let (m, s) = (self.inst.num_points(), self.inst.num_commodities());
+        touched.sort_unstable();
+        touched.dedup();
+        // `WHOLE_ROW` sorts last within its row, so walk backwards.
+        let mut whole = None;
+        for &(tag, block) in touched.iter().rev() {
+            if block == WHOLE_ROW {
+                whole = Some(tag);
+            } else if whole == Some(tag) {
+                continue;
+            }
+            let t = tag as usize;
+            let (e, f_row, b_row) = if t == s {
+                (None, &self.f_full[..], &self.b_large[..])
+            } else {
+                let e = Some(CommodityId(t as u16));
+                (
+                    e,
+                    &self.f_small[t * m..(t + 1) * m],
+                    &self.b_small[t * m..(t + 1) * m],
+                )
+            };
+            if block == WHOLE_ROW {
+                match e {
+                    Some(e) => self.targets.rebuild_small(e, f_row, b_row),
+                    None => self.targets.rebuild_large(f_row, b_row),
+                }
+            } else {
+                self.targets.rebuild_block(e, f_row, b_row, block);
+            }
         }
     }
 
@@ -829,8 +866,8 @@ impl OnlineAlgorithm for PdOmflp<'_> {
         // prepared bounds, extend the row to it — the pruned scans then
         // see verbatim backend values everywhere they look, so targets,
         // stats and all downstream state are bit-identical to a full fill.
-        // Any later full-row consumer (an opening's shrink pass) promotes
-        // the partial row through the cache's coverage fallback.
+        // The row stays partial: openings and the freeze walk never ask
+        // the cache for a full row of this location.
         let dist_row: &[f64] = if partial {
             let DistanceBackend::Blocked(c) = &mut self.dist else {
                 unreachable!("partial_rows_active checked the backend")

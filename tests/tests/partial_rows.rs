@@ -17,6 +17,10 @@
 //! forced, the final bid matrices and every frozen dual and cap — from the
 //! `NaivePd` reference at 1, 2, 7, or 16 threads, on every family
 //! including the id-scattered adversary.
+//!
+//! Openings never fill full rows on this path: the nearest-open fold and
+//! the cap-shrink walks read a row only where the backend already holds it
+//! in full, and call the metric on the surviving blocks otherwise.
 
 use omfl_core::algorithm::OnlineAlgorithm;
 use omfl_core::naive::NaivePd;
@@ -88,12 +92,12 @@ fn partial_rows_and_sharded_freeze_lockstep_at_every_thread_count() {
 }
 
 #[test]
-fn cold_scatter_adversary_locksteps_and_promotes_partial_rows() {
+fn cold_scatter_adversary_locksteps_without_promoting_partial_rows() {
     // The id-scattered adversary defeats id-order pruning entirely, so its
     // coverage sets are the least block-aligned the catalog produces; its
-    // region-hopping queries also open facilities, whose shrink passes
-    // read full rows and force the cache's coverage fallback. Lockstep
-    // must hold, and the fallback counter must be observable.
+    // region-hopping queries also open facilities often. Openings fold and
+    // shrink through block-pruned pointwise reads, never through a full
+    // row, so no partial row may ever be promoted. Lockstep must hold.
     let profile = CatalogProfile {
         points: 40, // × 32 scale → 1280 points, past the dense cap
         services: 8,
@@ -128,13 +132,18 @@ fn cold_scatter_adversary_locksteps_and_promotes_partial_rows() {
         hits + misses > 0,
         "the partial-row path must have touched the cache"
     );
-    // Promotions only happen when an arrival's location hosts an opening
-    // later; the adversary's hotspot phase makes that routine. If this
-    // ever goes flaky, the blocked-cache unit tests still force the
-    // fallback deterministically — this assert pins the *engine* wiring.
+    // An opening's fold and cap-shrink walks read a row only when the
+    // backend already holds it in full; otherwise they call the metric on
+    // the blocks that can change. So on the partial-row path nothing ever
+    // asks the cache for a full row of a partially covered location. (The
+    // blocked-cache unit tests still force the fallback deterministically.)
     assert!(
-        promotions > 0,
-        "openings on this workload must promote partial rows via the fallback"
+        tuned.facility_index().openings() > 0,
+        "the adversary must open facilities"
+    );
+    assert_eq!(
+        promotions, 0,
+        "no opening on the partial-row path may fill a full row"
     );
 }
 
